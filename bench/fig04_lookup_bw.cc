@@ -62,9 +62,11 @@ int main(int argc, char** argv) {
               " PDL-ART ~3.7x higher lookup throughput\n");
 
   // --- PACTree data-node format: classic 3072-B vs compact 2048-B ----------
-  // Same YCSB-C runs over PACTree in both layouts. Lookups probe one 256-B
-  // span either way, so the bytes/op gap here comes from the smaller nodes'
-  // better modeled-cache residency; the big media win is on scans (fig05).
+  // Same YCSB-C runs over PACTree in both layouts. A hit reads the node's
+  // 256-B header line either way; then classic reads the key line(s) and the
+  // value line, compact the slot-record line (value included) and, for
+  // suffixes over 4 B, one arena line. The smaller compact nodes also stay
+  // in the modeled cache more often; the big media win is on scans (fig05).
   for (bool strings : {false, true}) {
     for (int fmt : {0, 1}) {
       ConfigureNvmMachine();

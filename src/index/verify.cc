@@ -47,7 +47,8 @@ VerifyReport VerifyRecoveredIndex(const RangeIndex& index,
   // Full scan: the bound exceeds everything the test could have inserted, so
   // the scan is total and the sortedness check covers the whole key space.
   std::vector<std::pair<Key, uint64_t>> all;
-  size_t limit = expect.acked.size() + expect.inflight.size() + expect.removed.size();
+  size_t limit = expect.acked.size() + expect.inflight.size() + expect.updating.size() +
+                 expect.removed.size();
   index.Scan(Key::Min(), 16 * limit + 1024, &all);
   report.scanned = all.size();
 
@@ -106,6 +107,23 @@ VerifyReport VerifyRecoveredIndex(const RangeIndex& index,
     }
   }
 
+  // Keys being overwritten: present, with the old or the new value.
+  for (const auto& [key, values] : expect.updating) {
+    auto it = scanned.find(key);
+    uint64_t got = 0;
+    Status s = index.Lookup(key, &got);
+    if (it == scanned.end() || s != Status::kOk) {
+      Violation(&report, "overwritten key " + KeyRepr(key) + " missing after the crash");
+      continue;
+    }
+    if (it->second != values.first && it->second != values.second) {
+      Violation(&report, "overwritten key " + KeyRepr(key) + " has neither value in scan");
+    }
+    if (got != it->second) {
+      Violation(&report, "overwritten key " + KeyRepr(key) + " torn: scan and lookup disagree");
+    }
+  }
+
   // Value-tier keys: audited by dereferenced bytes (see verify.h). The raw
   // u64 word in the scan is a handle GC may have relocated, so only presence
   // is checked there.
@@ -149,6 +167,7 @@ VerifyReport VerifyRecoveredIndex(const RangeIndex& index,
   for (const auto& [key, value] : scanned) {
     (void)value;
     if (expect.acked.count(key) == 0 && expect.inflight.count(key) == 0 &&
+        expect.updating.count(key) == 0 &&
         expect.acked_values.count(key) == 0 &&
         expect.inflight_values.count(key) == 0) {
       Violation(&report, "ghost key " + KeyRepr(key) + " appeared from nowhere");

@@ -11,7 +11,8 @@
 //   3. no removed key is resurrected (absent from both scan and lookup);
 //   4. nothing outside acknowledged ∪ in-flight appears (no ghost keys);
 //   5. an in-flight key is either fully present with its value or fully
-//      absent (atomic outcome), and scan/lookup agree on which;
+//      absent (atomic outcome), and scan/lookup agree on which; a key whose
+//      overwrite was in flight is present with its old or its new value;
 //   6. the persistent allocation logs are fully drained;
 //   7. the operation logs (PACTree's SMO rings) are empty;
 //   8. the index's own structural audit (CheckInvariants) passes.
@@ -24,6 +25,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/key.h"
@@ -43,6 +45,10 @@ struct RecoveryExpectation {
   // value for an in-flight insert, the prior value for an in-flight remove
   // (the key moves here from |acked| when its remove is the crashed op).
   std::map<Key, uint64_t> inflight;
+  // Acked keys whose overwrite was in flight at the crash, as {prior value,
+  // new value}: MUST be present (an overwrite never makes a key absent) and
+  // carry one of the two, the same one in scan and lookup.
+  std::map<Key, std::pair<uint64_t, uint64_t>> updating;
 
   // --- tiered value storage (LookupValue) expectations ----------------------
   // Keys written through InsertValue are audited by their BYTES, not the raw

@@ -58,10 +58,10 @@ struct ArenaWatermark {
   }
 };
 
-// Flushes every dirty slot's key-or-descriptor/value/fingerprint -- plus, for
-// compact nodes, the appended arena bytes and the cursor -- and fences once.
-// Adjacent dirty slots coalesce into shared XPLines via the flush-combining
-// window; the fingerprint array (and a compact node's whole descriptor array)
+// Flushes every dirty slot's key/value (classic) or 16-B slot record
+// (compact) and fingerprint -- plus, for compact nodes, the appended arena
+// bytes and the cursor -- and fences once. Adjacent dirty slots coalesce into
+// shared XPLines via the flush-combining window; the fingerprint array
 // contributes at most one line for the batch. The cursor goes durable with
 // the suffix bytes BEFORE the bitmap publish that exposes the slots, so a
 // recovered image never has a live descriptor above the recovered cursor.
@@ -72,8 +72,7 @@ void FlushDirtySlots(DataNode* node, uint64_t dirty, ArenaWatermark* wm) {
     int s = __builtin_ctzll(d);
     d &= d - 1;
     if (is_compact) {
-      PersistRange(&node->compact.kdesc[s], sizeof(uint32_t));
-      PersistRange(&node->compact.values[s], sizeof(uint64_t));
+      PersistRange(&node->compact.slots[s], sizeof(DataNode::CompactSlot));
     } else {
       PersistRange(&node->classic.keys[s], sizeof(Key));
       PersistRange(&node->classic.values[s], sizeof(uint64_t));

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #if defined(PACTREE_AVX2)
@@ -27,6 +28,11 @@ struct DescFields {
   size_t off;
 };
 
+// Arena bytes of a |slen|-byte suffix: all but its inline head.
+constexpr size_t TailLen(size_t slen) {
+  return slen > kInlineSuffixBytes ? slen - kInlineSuffixBytes : 0;
+}
+
 // Decodes with defensive clamps: a torn or racing descriptor must never make
 // a reader index past the arena (observations are discarded on validation
 // failure, but the read itself has to stay in bounds).
@@ -35,19 +41,20 @@ DescFields DecodeDesc(uint32_t d) {
   f.plen = std::min<size_t>((d >> 18) & 0x3f, Key::kMaxLen);
   f.slen = std::min<size_t>((d >> 12) & 0x3f, Key::kMaxLen - f.plen);
   f.off = d & 0xfff;
-  if (f.off + f.slen > kCompactArenaBytes) {
-    f.slen = 0;
+  if (f.off + TailLen(f.slen) > kCompactArenaBytes) {
+    f.slen = std::min(f.slen, kInlineSuffixBytes);
     f.off = 0;
   }
   return f;
 }
 
-// Arena suffix bytes deliberately race: optimistic readers (KeyAt/KeyEquals)
-// may follow a stale descriptor into a region PlaceSuffix or
-// CompactArenaLocked is writing, and discard the observation when the version
-// check fails. TSan's libc interceptors report memcmp/memcpy even when the
-// calling function carries PACTREE_NO_TSAN, so under TSan the arena accesses
-// go through these uninstrumented plain loops; other builds keep libc.
+// Suffix bytes (inline heads and arena tails) deliberately race: optimistic
+// readers (KeyAt/KeyEquals) may read a head FillSlot is rewriting or follow a
+// stale descriptor into a region PlaceSuffix or CompactArenaLocked is writing,
+// and discard the observation when the version check fails. TSan's libc
+// interceptors report memcmp/memcpy even when the calling function carries
+// PACTREE_NO_TSAN, so under TSan these accesses go through uninstrumented
+// plain loops; other builds keep libc.
 #if defined(__SANITIZE_THREAD__)
 #define PACTREE_TSAN_BUILD 1
 #elif defined(__has_feature)
@@ -80,6 +87,16 @@ void ArenaBytesCopy(uint8_t* dst, const uint8_t* src, size_t n) {
 }
 #endif
 
+// A suffix that finds no arena room is a caller bug (SuffixRoomFor under the
+// write lock, or a split point sized against the new anchor, must rule it
+// out). Storing the ~0u sentinel as a descriptor would make the slot decode
+// as a different key, so stop in every build instead.
+[[noreturn]] void ArenaOverflow(const char* where) {
+  std::fprintf(stderr, "DataNode::%s: suffix does not fit the compact arena\n",
+               where);
+  std::abort();
+}
+
 }  // namespace
 
 uint64_t DataNode::Bitmap() const {
@@ -91,13 +108,31 @@ int DataNode::CountLive() const { return __builtin_popcountll(Bitmap()); }
 
 uint32_t DataNode::LoadDesc(int slot) const {
   return std::atomic_ref<uint32_t>(
-             const_cast<DataNode*>(this)->compact.kdesc[slot])
+             const_cast<DataNode*>(this)->compact.slots[slot].desc)
       .load(std::memory_order_acquire);
 }
 
 void DataNode::StoreDesc(int slot, uint32_t desc) {
-  std::atomic_ref<uint32_t>(compact.kdesc[slot])
+  std::atomic_ref<uint32_t>(compact.slots[slot].desc)
       .store(desc, std::memory_order_release);
+}
+
+size_t DataNode::SharedPrefixLen(const Key& anchor, const Key& key) {
+  const uint8_t* x = key.data();
+  const uint8_t* y = anchor.data();
+  size_t i = 0;
+  while (i < key.size() && x[i] == y[i]) {
+    ++i;
+  }
+  return i;
+}
+
+size_t DataNode::ArenaNeed(const Key& anchor, const Key& key) {
+  return TailLen(key.size() - SharedPrefixLen(anchor, key));
+}
+
+size_t DataNode::ArenaNeed(const Key& key) const {
+  return Format() == NodeFormat::kClassic ? 0 : ArenaNeed(anchor, key);
 }
 
 PACTREE_NO_TSAN
@@ -106,9 +141,11 @@ Key DataNode::KeyAt(int slot) const {
     return classic.keys[slot];
   }
   DescFields f = DecodeDesc(LoadDesc(slot));
+  const size_t hlen = std::min(f.slen, kInlineSuffixBytes);
   uint8_t buf[Key::kMaxLen];
   std::memcpy(buf, anchor.data(), f.plen);
-  ArenaBytesCopy(buf + f.plen, compact.arena + f.off, f.slen);
+  ArenaBytesCopy(buf + f.plen, compact.slots[slot].head, hlen);
+  ArenaBytesCopy(buf + f.plen + hlen, compact.arena + f.off, f.slen - hlen);
   return Key::FromBytes(buf, f.plen + f.slen);
 }
 
@@ -122,12 +159,15 @@ bool DataNode::KeyEquals(int slot, const Key& key) const {
     return false;
   }
   // Truncated compare: the anchor-shared prefix first (usually short), then
-  // the packed suffix bytes -- never the full 32-byte padded image.
+  // the inline head, then the arena tail -- never the full 32-byte padded
+  // image.
   if (f.plen != 0 && std::memcmp(key.data(), anchor.data(), f.plen) != 0) {
     return false;
   }
-  return f.slen == 0 ||
-         ArenaBytesEqual(key.data() + f.plen, compact.arena + f.off, f.slen);
+  const size_t hlen = std::min(f.slen, kInlineSuffixBytes);
+  const uint8_t* suffix = key.data() + f.plen;
+  return ArenaBytesEqual(suffix, compact.slots[slot].head, hlen) &&
+         ArenaBytesEqual(suffix + hlen, compact.arena + f.off, f.slen - hlen);
 }
 
 // Optimistic probe: runs under a version-lock read token and deliberately
@@ -159,12 +199,12 @@ int DataNode::FindKey(const Key& key, uint8_t fingerprint) const {
   while (candidates != 0) {
     int i = __builtin_ctzll(candidates);
     if (is_compact) {
-      // All 64 descriptors share one XPLine; the suffix read touches only the
-      // bytes the truncated compare needs.
-      AnnotateNvmRead(&compact.kdesc[i], sizeof(uint32_t));
+      // One slot record (descriptor, inline head, and the value a hit reads
+      // next), then only the arena bytes the truncated compare needs.
+      AnnotateNvmRead(&compact.slots[i], sizeof(CompactSlot));
       DescFields f = DecodeDesc(LoadDesc(i));
-      if (f.slen != 0) {
-        AnnotateNvmRead(&compact.arena[f.off], f.slen);
+      if (TailLen(f.slen) != 0) {
+        AnnotateNvmRead(&compact.arena[f.off], TailLen(f.slen));
       }
     } else {
       AnnotateNvmRead(&classic.keys[i], sizeof(Key));
@@ -187,7 +227,7 @@ int DataNode::FindFreeSlot() const {
 
 uint64_t* DataNode::ValueSlot(int slot) {
   return Format() == NodeFormat::kClassic ? &classic.values[slot]
-                                          : &compact.values[slot];
+                                          : &compact.slots[slot].value;
 }
 
 uint64_t DataNode::ValueAt(int slot) const {
@@ -196,64 +236,62 @@ uint64_t DataNode::ValueAt(int slot) const {
       .load(std::memory_order_acquire);
 }
 
-// Suffix placement for a compact slot. Sharing scan: an UPDATE of a live key
-// re-fills a fresh slot with the same bytes, and without sharing every such
-// churn would leak one suffix until the next compaction. Only slots in
-// |live_mask| are candidates -- a dead slot's descriptor may point at bytes a
-// past compaction has reclaimed.
 PACTREE_NO_TSAN
-uint32_t DataNode::PlaceSuffix(const Key& key, uint64_t live_mask,
-                               uint16_t* arena_lo, uint16_t* arena_hi) {
-  const size_t plen = std::min(CommonPrefixLen(key, anchor), key.size());
-  const size_t slen = key.size() - plen;
-  if (slen == 0) {
-    return MakeDesc(plen, 0, 0);
-  }
-  const uint8_t* suffix = key.data() + plen;
+int DataNode::FindSharedTail(const uint8_t* tail, size_t n,
+                             uint64_t live_mask) const {
   while (live_mask != 0) {
     int i = __builtin_ctzll(live_mask);
     live_mask &= live_mask - 1;
     DescFields f = DecodeDesc(LoadDesc(i));
-    if (f.slen == slen &&
-        std::memcmp(compact.arena + f.off, suffix, slen) == 0) {
-      return MakeDesc(plen, slen, f.off);  // share the live copy
+    if (TailLen(f.slen) == n && std::memcmp(compact.arena + f.off, tail, n) == 0) {
+      return static_cast<int>(f.off);
     }
   }
-  if (arena_cursor + slen > kCompactArenaBytes) {
+  return -1;
+}
+
+// Suffix placement for a compact slot. Sharing scan: an UPDATE of a live key
+// re-fills a fresh slot with the same bytes, and without sharing every such
+// churn would leak one arena tail until the next compaction. Only slots in
+// |live_mask| are candidates -- a dead slot's descriptor may point at bytes a
+// past compaction has reclaimed. The head is per slot and always copied.
+PACTREE_NO_TSAN
+uint32_t DataNode::PlaceSuffix(int slot, const Key& key, uint64_t live_mask,
+                               uint16_t* arena_lo, uint16_t* arena_hi) {
+  const size_t plen = AnchorPrefixLen(key);
+  const size_t slen = key.size() - plen;
+  const size_t tlen = ArenaNeed(key);
+  // Zero-padded so the record's persisted bytes never carry stale key bytes.
+  uint8_t head[kInlineSuffixBytes] = {};
+  std::memcpy(head, key.data() + plen, slen - tlen);
+  ArenaBytesCopy(compact.slots[slot].head, head, kInlineSuffixBytes);
+  if (tlen == 0) {
+    return MakeDesc(plen, slen, 0);
+  }
+  const uint8_t* tail = key.data() + plen + kInlineSuffixBytes;
+  if (int off = FindSharedTail(tail, tlen, live_mask); off >= 0) {
+    return MakeDesc(plen, slen, static_cast<size_t>(off));  // share the live copy
+  }
+  if (arena_cursor + tlen > kCompactArenaBytes) {
     return ~0u;  // out of room: caller compacts and/or splits
   }
   const uint16_t off = arena_cursor;
-  ArenaBytesCopy(compact.arena + off, suffix, slen);
-  arena_cursor = static_cast<uint16_t>(off + slen);
+  ArenaBytesCopy(compact.arena + off, tail, tlen);
+  arena_cursor = static_cast<uint16_t>(off + tlen);
   *arena_lo = std::min(*arena_lo, off);
   *arena_hi = std::max<uint16_t>(*arena_hi, arena_cursor);
   return MakeDesc(plen, slen, off);
 }
 
-PACTREE_NO_TSAN
 bool DataNode::SuffixRoomFor(const Key& key) const {
-  if (Format() == NodeFormat::kClassic) {
+  const size_t tlen = ArenaNeed(key);
+  if (tlen == 0 || arena_cursor + tlen <= kCompactArenaBytes) {
     return true;
   }
-  const size_t plen = std::min(CommonPrefixLen(key, anchor), key.size());
-  const size_t slen = key.size() - plen;
-  if (slen == 0 || arena_cursor + slen <= kCompactArenaBytes) {
-    return true;
-  }
-  // No cursor room; a live identical suffix still admits the key (mirrors
+  // No cursor room; a live identical arena tail still admits the key (mirrors
   // PlaceSuffix's sharing scan).
-  const uint8_t* suffix = key.data() + plen;
-  uint64_t live = Bitmap();
-  while (live != 0) {
-    int i = __builtin_ctzll(live);
-    live &= live - 1;
-    DescFields f = DecodeDesc(LoadDesc(i));
-    if (f.slen == slen &&
-        std::memcmp(compact.arena + f.off, suffix, slen) == 0) {
-      return true;
-    }
-  }
-  return false;
+  const uint8_t* tail = key.data() + AnchorPrefixLen(key) + kInlineSuffixBytes;
+  return FindSharedTail(tail, tlen, Bitmap()) >= 0;
 }
 
 // Writer side of the optimistic-probe pattern (see FindKey): fills a slot that
@@ -272,19 +310,21 @@ void DataNode::FillSlot(int slot, const Key& key, uint8_t fingerprint, uint64_t 
   }
   uint16_t lo = kCompactArenaBytes;
   uint16_t hi = 0;
-  uint32_t d = PlaceSuffix(key, Bitmap(), &lo, &hi);
-  assert(d != ~0u && "caller must check SuffixRoomFor under the write lock");
-  compact.values[slot] = value;
+  uint32_t d = PlaceSuffix(slot, key, Bitmap(), &lo, &hi);
+  if (d == ~0u) {
+    ArenaOverflow("FillSlot");
+  }
+  compact.slots[slot].value = value;
   StoreDesc(slot, d);
   fp[slot] = fingerprint;
+  // Record, then arena tail and cursor, all durable BEFORE the caller's
+  // bitmap publish: a recovered image never has a live descriptor above the
+  // recovered cursor.
+  PersistRange(&compact.slots[slot], sizeof(CompactSlot));
   if (hi > lo) {
     PersistRange(&compact.arena[lo], hi - lo);
-    // Cursor durable with the bytes, BEFORE the caller's bitmap publish: a
-    // recovered image never has a live descriptor above the recovered cursor.
     PersistRange(&arena_cursor, sizeof(arena_cursor));
   }
-  PersistRange(&compact.values[slot], sizeof(uint64_t));
-  PersistRange(&compact.kdesc[slot], sizeof(uint32_t));
   PersistRange(&fp[slot], 1);
   Fence();
 }
@@ -298,9 +338,11 @@ void DataNode::StageSlot(int slot, const Key& key, uint8_t fingerprint,
     fp[slot] = fingerprint;
     return;
   }
-  uint32_t d = PlaceSuffix(key, Bitmap(), arena_lo, arena_hi);
-  assert(d != ~0u && "caller must check SuffixRoomFor under the write lock");
-  compact.values[slot] = value;
+  uint32_t d = PlaceSuffix(slot, key, Bitmap(), arena_lo, arena_hi);
+  if (d == ~0u) {
+    ArenaOverflow("StageSlot");
+  }
+  compact.slots[slot].value = value;
   StoreDesc(slot, d);
   fp[slot] = fingerprint;
 }
@@ -313,7 +355,7 @@ size_t DataNode::CompactArenaLocked() {
   // live. Callers with batch-local bitmap state publish it first.
   struct Ref {
     uint16_t off;
-    uint16_t slen;
+    uint16_t tlen;  // arena tail length
     uint8_t slot;
   };
   Ref refs[kDataNodeEntries];
@@ -323,9 +365,10 @@ size_t DataNode::CompactArenaLocked() {
     int i = __builtin_ctzll(live);
     live &= live - 1;
     DescFields f = DecodeDesc(LoadDesc(i));
-    if (f.slen != 0) {
+    if (TailLen(f.slen) != 0) {
       refs[nrefs++] = {static_cast<uint16_t>(f.off),
-                       static_cast<uint16_t>(f.slen), static_cast<uint8_t>(i)};
+                       static_cast<uint16_t>(TailLen(f.slen)),
+                       static_cast<uint8_t>(i)};
     }
   }
   std::sort(refs, refs + nrefs, [](const Ref& a, const Ref& b) {
@@ -333,36 +376,38 @@ size_t DataNode::CompactArenaLocked() {
   });
   uint16_t p = 0;  // pack cursor
   for (int g = 0; g < nrefs;) {
-    // Slots sharing one suffix copy (PlaceSuffix sharing) form one group.
+    // Slots sharing one tail copy (PlaceSuffix sharing) form one group.
     int gend = g + 1;
     while (gend < nrefs && refs[gend].off == refs[g].off &&
-           refs[gend].slen == refs[g].slen) {
+           refs[gend].tlen == refs[g].tlen) {
       ++gend;
     }
     const uint16_t off = refs[g].off;
-    const uint16_t slen = refs[g].slen;
+    const uint16_t tlen = refs[g].tlen;
     if (off == p) {
-      p = static_cast<uint16_t>(off + slen);
+      p = static_cast<uint16_t>(off + tlen);
       g = gend;
       continue;
     }
-    if (p + slen <= off) {
+    if (p + tlen <= off) {
       // Destination is fully free and disjoint from the source: copy, make the
-      // bytes durable, THEN swing each 4-B descriptor atomically. A crash at
-      // any point leaves every live descriptor pointing at valid bytes.
-      ArenaBytesCopy(compact.arena + p, compact.arena + off, slen);
-      PersistFence(&compact.arena[p], slen);
+      // bytes durable, THEN swing each 4-B descriptor atomically (only the
+      // offset changes; the record's value and head stay as they are). A
+      // crash at any point leaves every live descriptor pointing at valid
+      // bytes.
+      ArenaBytesCopy(compact.arena + p, compact.arena + off, tlen);
+      PersistFence(&compact.arena[p], tlen);
       for (int j = g; j < gend; ++j) {
         DescFields f = DecodeDesc(LoadDesc(refs[j].slot));
-        StoreDesc(refs[j].slot, MakeDesc(f.plen, slen, p));
-        PersistRange(&compact.kdesc[refs[j].slot], sizeof(uint32_t));
+        StoreDesc(refs[j].slot, MakeDesc(f.plen, f.slen, p));
+        PersistRange(&compact.slots[refs[j].slot].desc, sizeof(uint32_t));
       }
       Fence();  // swings durable before the cursor drop below
-      p = static_cast<uint16_t>(p + slen);
+      p = static_cast<uint16_t>(p + tlen);
     } else {
       // Destination would overlap the source: moving could tear the bytes a
       // crash-recovered descriptor still points at. Leave it in place.
-      p = static_cast<uint16_t>(off + slen);
+      p = static_cast<uint16_t>(off + tlen);
     }
     g = gend;
   }

@@ -14,9 +14,12 @@
 //
 //   kCompact -- 2048 B = 8 XPLines. Every key in a node is >= its immutable
 //   anchor and typically shares a long prefix with it, so a slot stores only a
-//   4-B descriptor (prefix length vs the anchor, suffix length, arena offset)
-//   and the suffix bytes live in a packed append-only arena at the node tail
-//   (PaC-trees' compressed blocks, arXiv 2204.06077). The fingerprint array,
+//   16-B record -- value, 4-B descriptor (prefix length vs the anchor, suffix
+//   length, arena offset), and the first 4 suffix bytes inline -- and the rest
+//   of the suffix lives in a packed append-only arena at the node tail
+//   (PaC-trees' compressed blocks, arXiv 2204.06077). A point hit reads the
+//   header line, the slot record's line (which also holds the value) and, for
+//   suffixes longer than 4 B, one arena line. The fingerprint array,
 //   bitmap-publish linearization, and 64-slot concurrency protocol are exactly
 //   the classic ones; only the slot bytes changed shape.
 //
@@ -47,22 +50,17 @@ enum class NodeFormat : uint8_t {
   kCompact = 1,  // anchor-prefix-truncated suffixes in a packed arena
 };
 
-// Suffix-arena capacity of a compact node: 16 B/slot on average. Incompressible
-// key sets exhaust the arena before the bitmap fills; writers then compact the
-// arena in place and, if that is not enough, split the node early -- compact
-// nodes trade worst-case fan-out for 2/3 the media footprint.
-inline constexpr size_t kCompactArenaBytes = 1024;
+// Suffix bytes a compact slot record holds inline; only the rest of a suffix
+// goes to the arena.
+inline constexpr size_t kInlineSuffixBytes = 4;
 
-// Common prefix length of two keys' zero-padded 32-byte images.
-inline size_t CommonPrefixLen(const Key& a, const Key& b) {
-  const uint8_t* x = a.data();
-  const uint8_t* y = b.data();
-  size_t i = 0;
-  while (i < Key::kMaxLen && x[i] == y[i]) {
-    ++i;
-  }
-  return i;
-}
+// Suffix-arena capacity of a compact node: 12 B/slot on average. With the 4
+// inline bytes a full node holds 64 suffixes of up to 16 B each, as a 1024-B
+// arena of whole suffixes would. Incompressible key sets exhaust the arena
+// before the bitmap fills; writers then compact the arena in place and, if
+// that is not enough, split the node early -- compact nodes trade worst-case
+// fan-out for 2/3 the media footprint.
+inline constexpr size_t kCompactArenaBytes = 768;
 
 struct DataNode {
   // --- cache line 0: mutable metadata (persisted, except perm_version) ---
@@ -88,14 +86,21 @@ struct DataNode {
     Key keys[kDataNodeEntries];        // 256
     uint64_t values[kDataNodeEntries]; // 2560
   };
+  // One compact slot, 16 per XPLine: a probe that matched the slot reads its
+  // value from the line it already fetched for the descriptor.
+  struct CompactSlot {
+    uint64_t value;
+    // Key descriptor: | plen:6 @18 | slen:6 @12 | arena off:12 @0 |. The key
+    // is anchor-image[0, plen) ++ head[0, min(slen, 4)) ++
+    // arena[off, off + slen - 4), canonical length plen+slen. Stored/loaded as
+    // one 4-B atomic word so a descriptor swing (arena compaction) is
+    // indivisible to optimistic readers.
+    uint32_t desc;
+    uint8_t head[kInlineSuffixBytes];  // first suffix bytes, zero-padded
+  };
   struct CompactTail {
-    uint64_t values[kDataNodeEntries]; // 256
-    // Per-slot key descriptor: | plen:6 @18 | slen:6 @12 | arena off:12 @0 |.
-    // The key is anchor-image[0, plen) ++ arena[off, off+slen), canonical
-    // length plen+slen. Stored/loaded as one 4-B atomic word so a descriptor
-    // swing (arena compaction) is indivisible to optimistic readers.
-    uint32_t kdesc[kDataNodeEntries];  // 768
-    uint8_t arena[kCompactArenaBytes]; // 1024
+    CompactSlot slots[kDataNodeEntries];  // 256
+    uint8_t arena[kCompactArenaBytes];    // 1280
   };
   union {
     ClassicTail classic;
@@ -162,8 +167,16 @@ struct DataNode {
   void StageSlot(int slot, const Key& key, uint8_t fingerprint, uint64_t value,
                  uint16_t* arena_lo, uint16_t* arena_hi);
 
+  // Arena bytes |key| takes in this node when no live copy is shared: its
+  // suffix past the anchor-shared prefix, minus the inline head. Classic: 0.
+  size_t ArenaNeed(const Key& key) const;
+  // The same count for a compact node anchored at |anchor| (a split sizes the
+  // new node's arena before building it).
+  static size_t ArenaNeed(const Key& anchor, const Key& key);
+
   // Classic: always true. Compact: true when |key|'s suffix can be placed --
-  // an identical live suffix exists to share, or the arena has cursor room.
+  // it needs no arena bytes, an identical live arena tail exists to share, or
+  // the arena has cursor room.
   bool SuffixRoomFor(const Key& key) const;
 
   // Compact only: in-place crash-safe arena compaction under the node's write
@@ -185,28 +198,10 @@ struct DataNode {
   // Software-prefetches everything a FindKey probe reads before the slot
   // compare (kProbeSpanBytes: the node's first XPLine). The batched read
   // pipeline issues this one node ahead of the probe so the modeled media
-  // fetch overlaps useful work (see AnnotateNvmPrefetch). Compact nodes also
-  // prefetch the descriptor array -- 64 x 4 B = exactly one XPLine -- because
-  // every key materialization reads a descriptor before it can touch the
-  // arena; without this the compact layout pays one more serial media stall
-  // per probe than classic (whose keys the probe span's successor lines
-  // cover). The arena line itself stays a demand miss: its offset is unknown
-  // until the descriptor is read, the same data dependency classic has on
-  // its key line.
-  void PrefetchProbe() const {
-    AnnotateNvmPrefetch(this, kProbeSpanBytes);
-    PrefetchDescs();
-  }
-
-  // The descriptor-line half of PrefetchProbe, for paths that demand-read the
-  // probe span itself (JumpWalk arrival): issued before that read, the
-  // descriptor fetch overlaps the probe stall instead of serializing after
-  // the fingerprint match. No-op for classic nodes.
-  void PrefetchDescs() const {
-    if (Format() == NodeFormat::kCompact) {
-      AnnotateNvmPrefetch(compact.kdesc, sizeof(compact.kdesc));
-    }
-  }
+  // fetch overlaps useful work (see AnnotateNvmPrefetch). The slot line stays
+  // a demand miss: which slot to read is known only after the fingerprint
+  // match.
+  void PrefetchProbe() const { AnnotateNvmPrefetch(this, kProbeSpanBytes); }
 
   DataNode* Next() const { return PPtr<DataNode>(NextRaw()).get(); }
   DataNode* Prev() const { return PPtr<DataNode>(PrevRaw()).get(); }
@@ -220,12 +215,19 @@ struct DataNode {
   // Compact internals (data_node.cc).
   uint32_t LoadDesc(int slot) const;
   void StoreDesc(int slot, uint32_t desc);
-  // Places |key|'s suffix: shares an identical live suffix among |live_mask|
-  // slots when possible, appends at the cursor otherwise. Returns the packed
-  // descriptor, or ~0u when the arena is out of room. Appended bytes are NOT
-  // persisted here; [*arena_lo, *arena_hi) grows over them.
-  uint32_t PlaceSuffix(const Key& key, uint64_t live_mask, uint16_t* arena_lo,
-                       uint16_t* arena_hi);
+  // Length of the prefix |key| shares with the anchor (capped at its size).
+  size_t AnchorPrefixLen(const Key& key) const { return SharedPrefixLen(anchor, key); }
+  static size_t SharedPrefixLen(const Key& anchor, const Key& key);
+  // Arena offset of a live slot whose arena tail equals |tail| (|n| bytes),
+  // among |live_mask|, or -1.
+  int FindSharedTail(const uint8_t* tail, size_t n, uint64_t live_mask) const;
+  // Places |key|'s suffix: writes the slot's inline head, then shares an
+  // identical live arena tail among |live_mask| slots when possible and
+  // appends at the cursor otherwise. Returns the packed descriptor, or ~0u
+  // when the arena is out of room. Appended bytes are NOT persisted here;
+  // [*arena_lo, *arena_hi) grows over them.
+  uint32_t PlaceSuffix(int slot, const Key& key, uint64_t live_mask,
+                       uint16_t* arena_lo, uint16_t* arena_hi);
 };
 
 static_assert(sizeof(DataNode) == 3072, "classic node must be exactly 12 XPLines");
@@ -235,10 +237,12 @@ static_assert(offsetof(DataNode, classic) == DataNode::kProbeSpanBytes,
               "probe span must cover exactly the shared header");
 static_assert(offsetof(DataNode::ClassicTail, values) == 2304,
               "classic values after 64 full keys");
-static_assert(offsetof(DataNode::CompactTail, kdesc) == 512,
-              "compact descriptors after the value array");
-static_assert(offsetof(DataNode::CompactTail, arena) == 768,
-              "compact arena after the descriptors");
+static_assert(sizeof(DataNode::CompactSlot) == 16, "four slot records per cache line");
+static_assert(offsetof(DataNode, compact) % 256 == 0 &&
+                  256 % sizeof(DataNode::CompactSlot) == 0,
+              "a slot's value, descriptor and head share one XPLine");
+static_assert(offsetof(DataNode::CompactTail, arena) == 1024,
+              "compact arena after the slot records");
 static_assert(offsetof(DataNode, compact) + sizeof(DataNode::CompactTail) ==
                   DataNode::NodeBytes(NodeFormat::kCompact),
               "compact node must be exactly 8 XPLines");

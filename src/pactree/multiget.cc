@@ -123,9 +123,8 @@ size_t PacTree::MultiGet(std::span<const Key> keys, uint64_t* values,
       node = PPtr<DataNode>(root_->head_raw).get();
     }
     // The floor read this node's header line as its trie leaf (and the line
-    // was prefetched as the leaf of the previous iteration's path); only a
-    // compact node's descriptor line is left to pull ahead of stage 3.
-    node->PrefetchDescs();
+    // was prefetched as the leaf of the previous iteration's path), so stage 3
+    // finds it warm.
     floor[j] = node;
   }
 
@@ -274,9 +273,6 @@ void PacTree::MultiScan(std::span<const Key> starts, std::span<const size_t> cou
       stat_retries_.fetch_add(1, std::memory_order_relaxed);
       node = FindDataNode(cursor, &version);
     }
-    if (has_next) {
-      PPtr<DataNode>(next_raw).get()->PrefetchProbe();  // overlap next walk step
-    }
 
     // Activate every range whose start falls inside this node's span (the
     // tail node's span is unbounded, so all remaining ranges join there).
@@ -312,6 +308,10 @@ void PacTree::MultiScan(std::span<const Key> starts, std::span<const size_t> cou
     if (consumers >= 2) {
       ++shared_nodes;
       walks_saved += consumers - 1;
+    }
+    if (has_next && (!active.empty() || next_act < n)) {
+      // Unless the walk ends here, start the sibling's probe line fetching.
+      PPtr<DataNode>(next_raw).get()->PrefetchProbe();
     }
 
     if (active.empty()) {

@@ -22,10 +22,13 @@ namespace pactree {
 
 namespace {
 // Root magic, one per on-media layout. "PACTREE1" pools keep 48-B ArtLeaf
-// records as search-layer leaves; "PACTREE2" trie leaves are the data nodes
-// themselves. Pools of another layout are refused, never converted or wiped.
+// records as search-layer leaves; from "PACTREE2" on, trie leaves are the data
+// nodes themselves; "PACTREE3" compact nodes keep each slot's value,
+// descriptor and suffix head in one 16-B record. Pools of another layout are
+// refused, never converted or wiped.
 constexpr uint64_t kPacMagicRecordLeaves = 0x3145455254434150ULL;  // "PACTREE1"
-constexpr uint64_t kPacMagic = 0x3245455254434150ULL;              // "PACTREE2"
+constexpr uint64_t kPacMagicSplitSlots = 0x3245455254434150ULL;    // "PACTREE2"
+constexpr uint64_t kPacMagic = 0x3345455254434150ULL;              // "PACTREE3"
 // The search layer's leaves are the data nodes: a leaf's key is its anchor.
 constexpr int kTrieLeafKeyOffset = offsetof(DataNode, anchor);
 constexpr int kMergeThreshold = 24;  // merge when combined live keys fit easily
@@ -106,15 +109,19 @@ bool PacTree::Init(const PacTreeOptions& opts, Status* why) {
   if (uint64_t magic = 0;
       PmemHeap::PeekRootMagic(opts.name + ".data", &magic) && magic != 0 &&
       magic != kPacMagic) {
+    const bool old = magic == kPacMagicRecordLeaves || magic == kPacMagicSplitSlots;
     const char* layout =
         magic == kPacMagicRecordLeaves
             ? "PACTREE1, the old layout whose search-layer leaves are 48-B ArtLeaf records"
+        : magic == kPacMagicSplitSlots
+            ? "PACTREE2, the old layout whose compact nodes keep values, descriptors "
+              "and suffixes in separate arrays"
             : "unknown or corrupt root";
     std::fprintf(stderr,
-                 "pactree: '%s' has root magic 0x%016llx (%s); this build reads PACTREE2 "
+                 "pactree: '%s' has root magic 0x%016llx (%s); this build reads PACTREE3 "
                  "pools only. Refusing to open; files left untouched.\n",
                  opts.name.c_str(), static_cast<unsigned long long>(magic), layout);
-    *why = magic == kPacMagicRecordLeaves ? Status::kOldLayout : Status::kCorrupted;
+    *why = old ? Status::kOldLayout : Status::kCorrupted;
     return false;
   }
   PmemHeapOptions h;
@@ -407,12 +414,6 @@ DataNode* PacTree::JumpWalk(DataNode* start, const Key& key, uint64_t* version) 
   while (true) {
     uint64_t v = node->lock.ReadLock();
     stat_node_locks_.fetch_add(1, std::memory_order_relaxed);
-    // For compact nodes, pull the descriptor XPLine concurrently with the
-    // probe-span demand miss below: every key materialization needs a
-    // descriptor before it can touch the arena, and fetching it here hides
-    // that line behind the probe stall instead of serializing it after the
-    // fingerprint match.
-    node->PrefetchDescs();
     AnnotateNvmRead(node, DataNode::kProbeSpanBytes);  // metadata + anchor + fingerprints
     if (node->IsDeleted()) {
       DataNode* prev = node->Prev();
@@ -659,14 +660,48 @@ Status PacTree::Remove(const Key& key) {
 // Structural modifications
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// Index (in sorted order) of the first key a split moves right: the median,
+// except that a compact node pushes it right until the moved keys' arena need
+// against their new anchor, counted without tail sharing, fits a fresh arena.
+// The old node may have held them only by sharing one tail copy, and
+// re-truncation against the new anchor can shift where each tail starts (keys
+// that differ in their first bytes and share a long remainder). The new
+// anchor needs no tail bytes and any one other key at most 28, so the loop
+// stops with at least one key moved.
+int SplitPoint(NodeFormat format, const Key* keys, int n) {
+  if (format == NodeFormat::kClassic) {
+    return n / 2;
+  }
+  int m = n / 2;
+  for (; m < n - 1; ++m) {
+    size_t need = 0;
+    for (int i = m + 1; i < n; ++i) {
+      need += DataNode::ArenaNeed(keys[m], keys[i]);
+    }
+    if (need <= kCompactArenaBytes) {
+      break;
+    }
+  }
+  return m;
+}
+
+}  // namespace
+
 DataNode* PacTree::SplitLocked(DataNode* node, const Key& key) {
   uint8_t order[kDataNodeEntries];
   int n = node->ComputeSortedOrder(order);
   // Classic nodes split only when slot-full (n == 64); compact nodes also
   // split when the suffix arena is exhausted, which can happen at any live
-  // count >= 2 (n/2 >= 1 keeps both halves' anchors distinct and non-empty).
+  // count >= 2 (1 <= m < n keeps both halves' anchors distinct and non-empty).
   assert(n >= 2 && "split needs two distinct keys");
-  const Key split_anchor = node->KeyAt(order[n / 2]);
+  Key keys[kDataNodeEntries];
+  for (int i = 0; i < n; ++i) {
+    keys[i] = node->KeyAt(order[i]);
+  }
+  const int m = SplitPoint(node->Format(), keys, n);
+  const Key split_anchor = keys[m];
 
   // (1) Log the split; the new node is allocated straight into the log entry's
   // placeholder, so a crash can never leak it (§5.6).
@@ -693,8 +728,8 @@ DataNode* PacTree::SplitLocked(DataNode* node, const Key& key) {
   auto* new_node = static_cast<DataNode*>(new_block.get());
 
   // (2) Build the new (right) node, born write-locked. Moved keys re-truncate
-  // against the NEW anchor (>= all their old-anchor prefixes), and at most 32
-  // suffixes of <= 32 B each always fit a fresh 1024-B arena.
+  // against the NEW anchor; SplitPoint sized the moved set so that their
+  // tails fit a fresh arena even with no sharing.
   new_node->lock.WriteLock();  // unreachable: uncontended
   new_node->anchor = split_anchor;
   new_node->format_byte = node->format_byte;
@@ -707,10 +742,10 @@ DataNode* PacTree::SplitLocked(DataNode* node, const Key& key) {
   uint64_t new_bitmap = 0;
   uint16_t arena_lo = 0;
   uint16_t arena_hi = 0;
-  for (int i = n / 2; i < n; ++i) {
+  for (int i = m; i < n; ++i) {
     int src = order[i];
-    int dst = i - n / 2;
-    new_node->StageSlot(dst, node->KeyAt(src), node->fp[src], node->ValueAt(src),
+    int dst = i - m;
+    new_node->StageSlot(dst, keys[i], node->fp[src], node->ValueAt(src),
                         &arena_lo, &arena_hi);
     moved_bits |= 1ULL << src;
     new_bitmap |= 1ULL << dst;
@@ -756,9 +791,10 @@ bool PacTree::MakeRoomLocked(DataNode** node, const Key& key) {
   // format) arena room for its suffix. Cheapest remedy first: when only the
   // arena is short, an in-place compaction may reclaim dead suffix bytes.
   // Otherwise split -- possibly repeatedly, since an incompressible key set
-  // can leave the owning half still short on arena bytes; each split at least
-  // halves the live count, so the loop terminates (a node with one live key
-  // holds <= 32 arena bytes after compaction, leaving room for any suffix).
+  // can leave the owning half still short on arena bytes; each split leaves
+  // both halves with fewer live keys, so the loop terminates (a node with one
+  // live key holds <= 28 arena bytes after compaction, leaving room for any
+  // suffix).
   // Callers must have PUBLISHED all slot state (CompactArenaLocked treats the
   // published bitmap as the live set). On success *node is the locked half
   // that owns |key|; on failure (data pool exhausted) *node is unchanged and
@@ -820,8 +856,7 @@ void PacTree::TryMergeLocked(DataNode* node) {
     while (vbm != 0) {
       int i = __builtin_ctzll(vbm);
       vbm &= vbm - 1;
-      Key k = victim->KeyAt(i);
-      need += k.size() - std::min(CommonPrefixLen(k, survivor->anchor), k.size());
+      need += survivor->ArenaNeed(victim->KeyAt(i));
     }
     if (kCompactArenaBytes - survivor->arena_cursor < need) {
       survivor->CompactArenaLocked();
@@ -1011,10 +1046,11 @@ size_t PacTree::ScanBase(const Key& start, size_t count,
       stat_retries_.fetch_add(1, std::memory_order_relaxed);
       node = FindDataNode(cursor, &version);
     }
-    if (next_raw != 0) {
-      // One node ahead: start the sibling's metadata/anchor/fingerprint line
-      // fetching while this node's batch drains into |out|, so the sequential
-      // whole-node read above finds its first XPLine warm.
+    if (next_raw != 0 && out->size() + batch_n < count) {
+      // One node ahead, and only when the walk will go on: start the
+      // sibling's metadata/anchor/fingerprint line fetching while this node's
+      // batch drains into |out|, so the sequential whole-node read above
+      // finds its first XPLine warm.
       PPtr<DataNode>(next_raw).get()->PrefetchProbe();
     }
     for (size_t i = 0; i < batch_n && out->size() < count; ++i) {

@@ -226,7 +226,7 @@ void PacTree::RecoverMerge(SmoLogEntry* e) {
         if (node->FindKey(k, k.Fingerprint()) >= 0) {
           continue;
         }
-        need += k.size() - std::min(CommonPrefixLen(k, node->anchor), k.size());
+        need += node->ArenaNeed(k);
       }
       if (kCompactArenaBytes - node->arena_cursor < need) {
         node->CompactArenaLocked();

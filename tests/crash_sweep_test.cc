@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <functional>
 
 #include "src/index/range_index.h"
@@ -326,22 +327,22 @@ TEST_F(CrashSweepTest, PacTreeClassicSplit) {
   SweepAllModes(IndexKind::kPacTree, sc);
 }
 
-// A 32-byte string key ("key/" + 28 digits): against the head node's all-zero
-// anchor the shared prefix is empty, so each distinct key costs its full 32
-// bytes of suffix arena. (Integer keys would share their leading zero bytes
-// with the anchor and barely touch the arena.)
+// A 28-byte string key ("key/" + 24 digits): against the head node's all-zero
+// anchor the shared prefix is empty, so each distinct key costs its whole
+// suffix less the 4 inline head bytes: 24 bytes of arena. (Integer keys would
+// share their leading zero bytes with the anchor and barely touch the arena.)
 Key ArenaKey(uint64_t i) {
   char buf[40];
-  std::snprintf(buf, sizeof(buf), "key/%028llu", static_cast<unsigned long long>(i));
+  std::snprintf(buf, sizeof(buf), "key/%024llu", static_cast<unsigned long long>(i));
   return Key::FromString(buf);
 }
 
 TEST_F(CrashSweepTest, PacTreeCompactArenaCompaction) {
   // Compact-format suffix-arena compaction as the crashed op. Setup leaves
-  // one data node with 16 live 32-byte-suffix keys (512 arena bytes) and
-  // churns 16 insert+remove cycles of distinct keys, each leaking a 32-byte
-  // dead suffix: the cursor lands exactly at kCompactArenaBytes = 1024 with
-  // 48 free slots. The window insert therefore has a free slot but no suffix
+  // one data node with 16 live keys of 24 arena bytes each (384 bytes) and
+  // churns 16 insert+remove cycles of distinct keys, each leaking a 24-byte
+  // dead tail: the cursor lands exactly at kCompactArenaBytes = 768 with 48
+  // free slots. The window insert therefore has a free slot but no suffix
   // room, and MakeRoomLocked must run CompactArenaLocked -- suffix moves,
   // descriptor swings, and the cursor trim all land inside the fault window,
   // followed by the insert's own FillSlot + bitmap publish. Every crash
@@ -364,6 +365,61 @@ TEST_F(CrashSweepTest, PacTreeCompactArenaCompaction) {
   sc.window = [](RangeIndex* idx, RecoveryExpectation* exp) {
     idx->Insert(ArenaKey(500), 501);
     exp->inflight[ArenaKey(500)] = 501;
+  };
+  SweepAllModes(IndexKind::kPacTree, sc);
+}
+
+// A 32-byte key: a distinct 4-byte prefix and a 28-byte remainder common to
+// every key.
+Key SharedTailKey(uint64_t i) {
+  uint8_t b[Key::kMaxLen];
+  b[0] = static_cast<uint8_t>(3 * i + 1);
+  b[1] = static_cast<uint8_t>(37 * i);
+  b[2] = static_cast<uint8_t>(91 * i);
+  b[3] = static_cast<uint8_t>(13 * i);
+  std::memset(b + 4, 'r', sizeof(b) - 4);
+  return Key::FromBytes(b, sizeof(b));
+}
+
+TEST_F(CrashSweepTest, PacTreeSharedTailSplit) {
+  // A slot-full compact split whose moved half cannot be a plain median half:
+  // the 64 setup keys share one arena tail under the head node's zero anchor,
+  // but against any split anchor from the set each needs its own 28-B tail,
+  // so the split moves fewer keys to keep the new node's arena within 768 B.
+  // Every crash point must recover all 64 acked keys (the
+  // SlotFullSplitOfSharedTailKeysFitsTheNewArena unit test pins the premise).
+  SweepScenario sc;
+  sc.setup = [](RangeIndex* idx, RecoveryExpectation* exp) {
+    for (uint64_t i = 0; i < 64; ++i) {
+      ASSERT_EQ(idx->Insert(SharedTailKey(i), i + 1), Status::kOk) << i;
+      exp->acked[SharedTailKey(i)] = i + 1;
+    }
+  };
+  sc.window = [](RangeIndex* idx, RecoveryExpectation* exp) {
+    idx->Insert(SharedTailKey(64), 65);
+    exp->inflight[SharedTailKey(64)] = 65;
+  };
+  SweepAllModes(IndexKind::kPacTree, sc);
+}
+
+TEST_F(CrashSweepTest, PacTreeUpdate) {
+  // An out-of-place overwrite of a live compact key: the update fills a free
+  // slot with the same key -- a fresh 16-B record whose inline head is copied
+  // and whose descriptor shares the live slot's arena tail -- then flips both
+  // bitmap bits in one store. Every crash point must recover the key with
+  // exactly its old or its new value, and the shared tail must still read
+  // back for whichever slot survived.
+  SweepScenario sc;
+  sc.setup = [](RangeIndex* idx, RecoveryExpectation* exp) {
+    for (uint64_t i = 1; i <= 8; ++i) {
+      ASSERT_EQ(idx->Insert(ArenaKey(i), i), Status::kOk) << i;
+      exp->acked[ArenaKey(i)] = i;
+    }
+  };
+  sc.window = [](RangeIndex* idx, RecoveryExpectation* exp) {
+    idx->Update(ArenaKey(5), 555);
+    exp->acked.erase(ArenaKey(5));
+    exp->updating[ArenaKey(5)] = {5, 555};
   };
   SweepAllModes(IndexKind::kPacTree, sc);
 }

@@ -10,8 +10,11 @@
 
 #include "src/common/random.h"
 #include "src/nvm/config.h"
+#include "src/nvm/persist.h"
+#include "src/nvm/stats.h"
 #include "src/nvm/topology.h"
 #include "src/pmem/heap.h"
+#include "src/pmem/registry.h"
 
 namespace pactree {
 namespace {
@@ -63,10 +66,17 @@ TEST(DataNodeLayoutTest, SharedHeaderAndFormatTails) {
   EXPECT_EQ(offsetof(DataNode, compact), 256u);
   EXPECT_EQ(offsetof(DataNode, classic) + offsetof(DataNode::ClassicTail, values),
             2560u);
-  EXPECT_EQ(offsetof(DataNode, compact) + offsetof(DataNode::CompactTail, kdesc),
-            768u);
+  // Compact: 64 16-B slot records (value, descriptor, inline suffix head),
+  // then the 768-B arena of suffix tails.
+  EXPECT_EQ(offsetof(DataNode, compact) + offsetof(DataNode::CompactTail, slots),
+            256u);
+  EXPECT_EQ(sizeof(DataNode::CompactSlot), 16u);
+  EXPECT_EQ(offsetof(DataNode::CompactSlot, value), 0u);
+  EXPECT_EQ(offsetof(DataNode::CompactSlot, desc), 8u);
+  EXPECT_EQ(offsetof(DataNode::CompactSlot, head), 12u);
   EXPECT_EQ(offsetof(DataNode, compact) + offsetof(DataNode::CompactTail, arena),
-            1024u);
+            1280u);
+  EXPECT_EQ(kCompactArenaBytes, 768u);
   EXPECT_EQ(DataNode::NodeBytes(NodeFormat::kClassic), 3072u);
   EXPECT_EQ(DataNode::NodeBytes(NodeFormat::kCompact), 2048u);
   // A zeroed legacy format byte decodes to classic.
@@ -335,12 +345,13 @@ TEST_P(DataNodeTest, SuffixRoomForReportsSharingAndExhaustion) {
     GTEST_SKIP() << "classic nodes have no arena";
   }
   ResetNode(Key::Min());
-  // Burn the arena down to < 24 free bytes with distinct 32-byte keys.
+  // Burn the arena down to < 28 free bytes with distinct 32-byte keys (28
+  // arena bytes each: the first 4 suffix bytes sit in the slot record).
   uint64_t bitmap = 0;
   int slot = 0;
-  while (kCompactArenaBytes - node_->arena_cursor >= 32) {
+  while (kCompactArenaBytes - node_->arena_cursor >= 28) {
     char buf[33];
-    std::snprintf(buf, sizeof(buf), "long-key-%019d-pad-pad", slot);
+    std::snprintf(buf, sizeof(buf), "long-key-%019d-pad", slot);
     Key k = Key::FromBytes(buf, 32);
     ASSERT_TRUE(node_->SuffixRoomFor(k));
     node_->FillSlot(slot, k, k.Fingerprint(), 0);
@@ -356,6 +367,118 @@ TEST_P(DataNodeTest, SuffixRoomForReportsSharingAndExhaustion) {
   EXPECT_TRUE(node_->SuffixRoomFor(node_->KeyAt(0)));
   // An anchor-equal key (empty suffix) always fits.
   EXPECT_TRUE(node_->SuffixRoomFor(Key::Min()));
+}
+
+// Keys whose suffix past the anchor is exactly |slen| bytes, for every split
+// of the suffix between the inline head and the arena tail: each one reads
+// back through KeyAt, matches itself in KeyEquals, and is found by FindKey,
+// while keys that differ only in the head or only in the tail are not.
+TEST_P(DataNodeTest, SuffixLengthsRoundTrip) {
+  for (size_t slen : {0, 1, 3, 4, 5, 16, 28, 32}) {
+    SCOPED_TRACE(slen);
+    const std::string anchor_bytes(Key::kMaxLen - slen, 'a');
+    ResetNode(Key::FromString(anchor_bytes));
+    // Neighbours differ from each other in the last suffix byte only; with
+    // slen == 0 the anchor itself is the one key.
+    const int nkeys = slen == 0 ? 1 : 8;
+    std::vector<Key> keys;
+    uint64_t bitmap = 0;
+    for (int i = 0; i < nkeys; ++i) {
+      std::string suffix(slen, 'm');
+      if (slen != 0) {
+        suffix.back() = static_cast<char>('b' + i);
+      }
+      Key k = Key::FromString(anchor_bytes + suffix);
+      ASSERT_EQ(node_->ArenaNeed(k), compact() && slen > 4 ? slen - 4 : 0);
+      ASSERT_TRUE(node_->SuffixRoomFor(k));
+      node_->FillSlot(3 * i, k, k.Fingerprint(), 100 + i);
+      bitmap |= 1ULL << (3 * i);
+      keys.push_back(k);
+    }
+    node_->PublishBitmap(bitmap);
+    for (int i = 0; i < nkeys; ++i) {
+      const Key& k = keys[i];
+      EXPECT_EQ(node_->KeyAt(3 * i), k);
+      EXPECT_TRUE(node_->KeyEquals(3 * i, k));
+      EXPECT_EQ(node_->FindKey(k, k.Fingerprint()), 3 * i);
+      EXPECT_EQ(node_->ValueAt(3 * i), static_cast<uint64_t>(100 + i));
+    }
+    if (slen == 0) {
+      continue;
+    }
+    // Slot 0's key with one byte changed: the first suffix byte (in the
+    // head), then the last one (in the tail when the suffix has one). A
+    // key one byte shorter is not equal either.
+    const std::string suffix0(keys[0].data() + anchor_bytes.size(),
+                              keys[0].data() + keys[0].size());
+    for (size_t at : {size_t{0}, slen - 1}) {
+      std::string off = suffix0;
+      off[at] = 'z';
+      Key miss = Key::FromString(anchor_bytes + off);
+      EXPECT_FALSE(node_->KeyEquals(0, miss)) << at;
+      EXPECT_EQ(node_->FindKey(miss, miss.Fingerprint()), -1) << at;
+    }
+    Key shorter = Key::FromString(anchor_bytes + suffix0.substr(0, slen - 1));
+    EXPECT_FALSE(node_->KeyEquals(0, shorter));
+  }
+}
+
+// The media cost of a cold point hit on a compact node, read off the pool's
+// counters: the header line (what JumpWalk reads), the slot record's line
+// (descriptor, head, and the value), and one arena line for a suffix longer
+// than the 4 inline bytes -- nothing else.
+TEST_P(DataNodeTest, ColdCompactHitReadsHeaderSlotAndArenaLines) {
+  if (!compact()) {
+    GTEST_SKIP() << "classic keys and values live on separate lines";
+  }
+  const Key anchor = Key::FromString("node/");
+  const NvmThreadCounters& c = LocalNvmCounters(ToPPtr(node_).pool());
+  // Arena tails of 0, 0, 1, 4 and 8 bytes, appended from the arena's XPLine-
+  // aligned start: none of them crosses an XPLine boundary.
+  for (size_t slen : {2, 4, 5, 8, 12}) {
+    SCOPED_TRACE(slen);
+    ResetNode(anchor);
+    // A full node: 64 distinct suffixes of |slen| bytes.
+    std::vector<Key> keys;
+    for (int i = 0; i < static_cast<int>(kDataNodeEntries); ++i) {
+      std::string suffix(slen, 'k');
+      suffix[slen - 2] = static_cast<char>('A' + i / 8);
+      suffix[slen - 1] = static_cast<char>('A' + i % 8);
+      Key k = Key::FromString("node/" + suffix);
+      ASSERT_TRUE(node_->SuffixRoomFor(k));
+      node_->FillSlot(i, k, k.Fingerprint(), i);
+      keys.push_back(k);
+    }
+    node_->PublishBitmap(~0ULL);
+    int measured = 0;
+    for (int i = 0; i < static_cast<int>(kDataNodeEntries); ++i) {
+      const Key& k = keys[i];
+      // Only keys whose fingerprint is unique in the node: a collision reads
+      // the colliding slot too.
+      int same_fp = 0;
+      for (const Key& o : keys) {
+        same_fp += o.Fingerprint() == k.Fingerprint();
+      }
+      if (same_fp != 1) {
+        continue;
+      }
+      DropThreadReadCache();
+      const uint64_t misses = c.read_misses.load();
+      const uint64_t bytes = c.media_read_bytes.load();
+      const uint64_t prefetches = c.read_prefetches.load();
+      AnnotateNvmRead(node_, DataNode::kProbeSpanBytes);
+      int slot = node_->FindKey(k, k.Fingerprint());
+      ASSERT_EQ(slot, i);
+      AnnotateNvmRead(node_->ValueSlot(slot), sizeof(uint64_t));
+      ASSERT_EQ(node_->ValueAt(slot), static_cast<uint64_t>(i));
+      const uint64_t lines = slen > kInlineSuffixBytes ? 3 : 2;
+      EXPECT_EQ(c.read_misses.load() - misses, lines);
+      EXPECT_EQ(c.media_read_bytes.load() - bytes, lines * 256);
+      EXPECT_EQ(c.read_prefetches.load() - prefetches, 0u);
+      ++measured;
+    }
+    EXPECT_GT(measured, 32);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Formats, DataNodeTest,

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <map>
@@ -203,22 +204,22 @@ TEST_F(PacTreeTest, PersistsAcrossReopen) {
   EXPECT_EQ(v, 42u);
 }
 
-// A 32-byte string key ("key/" + 28 digits). Against the head node's all-zero
-// anchor the shared prefix is empty, so each distinct key costs its full 32
-// bytes of suffix arena -- integer keys would share their leading zero bytes
-// with the anchor and leak almost nothing.
+// A 28-byte string key ("key/" + 24 digits). Against the head node's all-zero
+// anchor the shared prefix is empty, so each distinct key costs its whole
+// suffix less the 4 inline head bytes: 24 bytes of arena -- integer keys would
+// share their leading zero bytes with the anchor and leak almost nothing.
 Key ChurnKey(uint64_t i) {
   char buf[40];
-  std::snprintf(buf, sizeof(buf), "key/%028llu", static_cast<unsigned long long>(i));
+  std::snprintf(buf, sizeof(buf), "key/%024llu", static_cast<unsigned long long>(i));
   return Key::FromString(buf);
 }
 
 TEST_F(PacTreeTest, ArenaChurnCompactsInsteadOfSplitting) {
   // Insert+remove churn of distinct keys leaks dead suffixes in a compact
-  // node's arena without consuming slots. 16 live 32-byte-suffix keys plus 16
-  // churn cycles put the cursor exactly at the 1024-byte arena limit with 48
-  // slots free: the next insert must reclaim via CompactArenaLocked, not
-  // split. (This is also the base state of the PacTreeCompactArenaCompaction
+  // node's arena without consuming slots. 16 live keys plus 16 churn cycles,
+  // 24 arena bytes each, put the cursor exactly at the 768-byte arena limit
+  // (32 x 24) with 48 slots free: the next insert must reclaim via
+  // CompactArenaLocked, not split. (This is also the base state of the PacTreeCompactArenaCompaction
   // crash sweep -- this test pins the arithmetic the sweep's premise rests
   // on.)
   ASSERT_EQ(tree_->Stats().node_format, NodeFormat::kCompact);
@@ -240,6 +241,55 @@ TEST_F(PacTreeTest, ArenaChurnCompactsInsteadOfSplitting) {
   }
   std::string why;
   EXPECT_TRUE(tree_->CheckInvariants(&why)) << why;
+}
+
+// A 32-byte key: a distinct 4-byte prefix (first byte distinct too, like a
+// hash or shard prefix) and a 28-byte remainder common to every key.
+Key SharedTailKey(uint64_t i) {
+  uint8_t b[Key::kMaxLen];
+  b[0] = static_cast<uint8_t>(3 * i + 1);
+  b[1] = static_cast<uint8_t>(37 * i);
+  b[2] = static_cast<uint8_t>(91 * i);
+  b[3] = static_cast<uint8_t>(13 * i);
+  std::memset(b + 4, 'r', sizeof(b) - 4);
+  return Key::FromBytes(b, sizeof(b));
+}
+
+TEST_F(PacTreeTest, SlotFullSplitOfSharedTailKeysFitsTheNewArena) {
+  // Under the head node's all-zero anchor each key's inline head holds its
+  // prefix and all 64 keys share ONE 28-B arena tail, so the node fills by
+  // slot count. Against a split anchor from the set the keys share no bytes:
+  // each moved key needs its own 28-B tail, and half the node (31 keys besides
+  // the new anchor, 868 B) would overflow a fresh 768-B arena. The split must
+  // move fewer keys instead of losing one.
+  ASSERT_EQ(tree_->Stats().node_format, NodeFormat::kCompact);
+  for (uint64_t i = 0; i < kDataNodeEntries; ++i) {
+    ASSERT_EQ(tree_->Insert(SharedTailKey(i), i + 1), Status::kOk) << i;
+  }
+  ASSERT_EQ(tree_->Stats().splits, 0u);
+  ASSERT_EQ(tree_->Insert(SharedTailKey(64), 65), Status::kOk);
+  EXPECT_EQ(tree_->Stats().splits, 1u);
+  auto check_all = [&] {
+    for (uint64_t i = 0; i <= 64; ++i) {
+      uint64_t v;
+      ASSERT_EQ(tree_->Lookup(SharedTailKey(i), &v), Status::kOk) << i;
+      ASSERT_EQ(v, i + 1) << i;
+    }
+    std::vector<std::pair<Key, uint64_t>> out;
+    tree_->Scan(Key::Min(), 100, &out);
+    ASSERT_EQ(out.size(), 65u);
+    for (uint64_t i = 0; i <= 64; ++i) {
+      EXPECT_EQ(out[i].first, SharedTailKey(i)) << i;
+      EXPECT_EQ(out[i].second, i + 1) << i;
+    }
+    EXPECT_EQ(tree_->Size(), 65u);
+    std::string why;
+    tree_->DrainSmoLogs();
+    EXPECT_TRUE(tree_->CheckInvariants(&why)) << why;
+  };
+  check_all();
+  Reopen();
+  check_all();
 }
 
 TEST_F(PacTreeTest, ReopenAdoptsPersistedNodeFormat) {
@@ -308,7 +358,9 @@ TEST_F(PacTreeTest, RefusesOtherLayoutPoolsAndLeavesFilesUntouched) {
   // A pool whose root carries another layout's magic must fail Open with a
   // status naming it and keep every byte of every pool file: "PACTREE1"
   // pools hold 48-B ArtLeaf search-layer records this build would misread
-  // as data nodes, and an unknown magic is a corrupt root, not a fresh pool.
+  // as data nodes, "PACTREE2" compact nodes keep values, descriptors and
+  // suffixes where this build's 16-B slot records are, and an unknown magic
+  // is a corrupt root, not a fresh pool.
   PacTreeOptions o = opts_;
   o.name = "pt_layout";
   o.pool_size = 16 << 20;
@@ -324,6 +376,7 @@ TEST_F(PacTreeTest, RefusesOtherLayoutPoolsAndLeavesFilesUntouched) {
   EpochManager::Instance().DrainAll();
   const std::pair<uint64_t, Status> roots[] = {
       {0x3145455254434150ULL, Status::kOldLayout},  // "PACTREE1"
+      {0x3245455254434150ULL, Status::kOldLayout},  // "PACTREE2"
       {0x0123456789abcdefULL, Status::kCorrupted},
   };
   for (const auto& [magic, want] : roots) {
