@@ -17,7 +17,11 @@ constexpr uint64_t kArtMagic = 0x3154524144504150ULL;  // "PAPDART1"
 inline ArtNode* NodeOf(uint64_t raw) { return PPtr<ArtNode>(raw).get(); }
 inline ArtLeaf* LeafOf(uint64_t raw) { return PPtr<ArtLeaf>(ArtUntag(raw)).get(); }
 
-// Approximate NVM traffic of one node visit: header + the accessed slot area.
+// Approximate NVM traffic of one node visit: the node's first 128 B, i.e. the
+// header plus whatever key bytes and child slots fall inside it. Child slots
+// past byte 128 -- an N16's last seven, most of an N48's and N256's -- are
+// never annotated: the root N256's slot for 'u' sits at byte 976, on the
+// node's fourth XPLine.
 inline void AnnotateNodeVisit(const ArtNode* n) { AnnotateNvmRead(n, 128); }
 inline void AnnotateLeafVisit(const ArtLeaf* l) { AnnotateNvmRead(l, sizeof(ArtLeaf)); }
 

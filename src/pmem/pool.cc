@@ -20,6 +20,19 @@ namespace {
 inline std::atomic_ref<uint64_t> AtomicRef64(uint64_t* p) { return std::atomic_ref<uint64_t>(*p); }
 inline std::atomic_ref<uint32_t> AtomicRef32(uint32_t* p) { return std::atomic_ref<uint32_t>(*p); }
 
+// First-fit start word of a freshly assigned chunk (slab coloring, Bonwick
+// 1994): a Fibonacci hash of the chunk index scaled to the chunk's |words|
+// bitmap words. Every chunk spans the same 1 MiB of address bits, so without
+// a color the first blocks of every class's chunk map to the same sets of a
+// cache one chunk wide, and in a direct-mapped one (the NVM model's read
+// cache) the first node of one class evicts the first node of another. A
+// pure function of the chunk index: placement repeats run to run, and
+// nothing on media records it.
+inline uint32_t ChunkColor(uint32_t chunk, uint32_t words) {
+  uint32_t h = chunk * 0x9E3779B9u;
+  return static_cast<uint32_t>((uint64_t{h} * words) >> 32);
+}
+
 }  // namespace
 
 size_t SizeClassFor(size_t size) {
@@ -420,8 +433,8 @@ int PmemPool::AcquireChunk(size_t class_idx) {
     cs.partial.pop_back();
     in_partial_[c].store(0, std::memory_order_relaxed);
     if (free_counts_[c].load(std::memory_order_relaxed) > 0) {
-      cs.current.store(c, std::memory_order_release);
       cs.hint.store(0, std::memory_order_relaxed);
+      cs.current.store(c, std::memory_order_release);
       return static_cast<int>(c);
     }
   }
@@ -444,8 +457,10 @@ int PmemPool::AcquireChunk(size_t class_idx) {
   }
   uint32_t blocks = static_cast<uint32_t>(kChunkSize / kSizeClasses[class_idx]);
   free_counts_[c].store(blocks, std::memory_order_relaxed);
+  // The cursor is set before |current| is published (release), so an
+  // allocator that acquires the new |current| starts from its color.
+  cs.hint.store(ChunkColor(c, (blocks + 63) / 64), std::memory_order_relaxed);
   cs.current.store(c, std::memory_order_release);
-  cs.hint.store(0, std::memory_order_relaxed);
   return static_cast<int>(c);
 }
 

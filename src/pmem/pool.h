@@ -224,7 +224,8 @@ class PmemPool {
   // --- volatile allocator state ---
   struct ClassState {
     std::atomic<int64_t> current{-1};
-    std::atomic<uint32_t> hint{0};
+    std::atomic<uint32_t> hint{0};  // first-fit cursor (bitmap word); a fresh
+                                    // chunk starts it at the chunk's color
     std::vector<uint32_t> partial;  // chunks with free blocks (guarded by mu_)
   };
   ClassState classes_[kNumClasses];

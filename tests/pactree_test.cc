@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iterator>
@@ -13,6 +14,7 @@
 #include "src/common/random.h"
 #include "src/nvm/config.h"
 #include "src/nvm/persist.h"
+#include "src/nvm/stats.h"
 #include "src/nvm/topology.h"
 #include "src/pmem/heap.h"
 #include "src/sync/epoch.h"
@@ -128,6 +130,47 @@ TEST_F(PacTreeTest, StringKeys) {
     ASSERT_EQ(tree_->Lookup(Key::FromString(k), &got), Status::kOk) << k;
     ASSERT_EQ(got, v);
   }
+}
+
+// The top of the trie -- the N256 root, the node under 'u', the levels below
+// it -- is visited by every "user..." lookup. With a search heap far below the
+// modeled read cache's 1 MiB reach, a repeated lookup must find that whole path
+// cached. Without chunk coloring the root and the 'u' node sit at the same
+// offset of their 1 MiB chunks, share a direct-mapped slot, and evict each
+// other on every lookup.
+TEST_F(PacTreeTest, HotTriePathStaysInModeledCache) {
+  Rng rng(11);
+  std::vector<Key> keys;
+  for (int i = 0; i < 20000; ++i) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "user%019llu",
+                  static_cast<unsigned long long>(rng.Next() >> 1));
+    keys.push_back(Key::FromString(buf));
+    ASSERT_EQ(tree_->Insert(keys.back(), i), Status::kOk);
+  }
+  tree_->DrainSmoLogs();
+  const PmemHeap* search = tree_->search_heap();
+  uint64_t live = 0;
+  for (uint32_t p = 0; p < search->pool_count(); ++p) {
+    live += search->pool(p)->LiveBytes();
+  }
+  ASSERT_LT(live, 512u << 10) << "the search heap must fit the modeled cache easily";
+  auto search_misses = [&] {
+    uint64_t m = 0;
+    for (uint32_t p = 0; p < search->pool_count(); ++p) {
+      m += LocalNvmCounters(search->pool(p)->pool_id()).read_misses.load();
+    }
+    return m;
+  };
+  const Key& k = keys[4321];
+  uint64_t v = 0;
+  ASSERT_EQ(tree_->Lookup(k, &v), Status::kOk);  // warm-up
+  const uint64_t before = search_misses();
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_EQ(tree_->Lookup(k, &v), Status::kOk);
+    ASSERT_EQ(v, 4321u);
+  }
+  EXPECT_EQ(search_misses() - before, 0u);
 }
 
 TEST_F(PacTreeTest, ScanMatchesSortedModel) {

@@ -127,6 +127,40 @@ TEST_F(PmemTest, WholeChunkAllocation) {
   NvmPoolFile::Remove(path);
 }
 
+// Chunk coloring: the first block of each class's fresh chunk starts at a
+// color derived from the chunk index, so the first nodes of different classes
+// do not all sit on the same XPLine offset of their 1 MiB chunks -- and the
+// colors are a pure function of the pool geometry.
+TEST_F(PmemTest, FreshChunksOfDifferentClassesStartOnDifferentLines) {
+  std::string path = TestPath("pmem_color.pool");
+  PmemPoolOptions opts;
+  opts.size = 64 << 20;
+  const size_t kSizes[] = {64, 128, 256, 768, 3072};
+  std::vector<uint64_t> first_offsets;
+  for (int round = 0; round < 2; ++round) {
+    auto pool = PmemPool::Create(path, 15, 0, opts);
+    ASSERT_NE(pool, nullptr);
+    const uint64_t data_off = pool->header()->data_off;
+    std::vector<uint64_t> offsets;
+    std::set<uint64_t> lines;
+    for (size_t size : kSizes) {
+      PPtr<void> p = pool->Alloc(size);
+      ASSERT_FALSE(p.IsNull());
+      offsets.push_back(p.offset());
+      uint64_t line = ((p.offset() - data_off) % kChunkSize) / 256;
+      EXPECT_TRUE(lines.insert(line).second)
+          << size << "-B block starts on XPLine " << line << " of its chunk, like another class";
+    }
+    if (round == 0) {
+      first_offsets = offsets;
+    } else {
+      EXPECT_EQ(offsets, first_offsets) << "placement must repeat in a fresh pool";
+    }
+    pool.reset();
+    NvmPoolFile::Remove(path);
+  }
+}
+
 TEST_F(PmemTest, PersistentAcrossReopen) {
   std::string path = TestPath("pmem_reopen.pool");
   PmemPoolOptions opts;
