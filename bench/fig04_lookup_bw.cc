@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
   // Same YCSB-C runs over PACTree in both layouts. A hit reads the node's
   // 256-B header line either way; then classic reads the key line(s) and the
   // value line, compact the slot-record line (value included) and, for
-  // suffixes over 4 B, one arena line. The smaller compact nodes also stay
+  // suffixes over 7 B, one arena line. The smaller compact nodes also stay
   // in the modeled cache more often; the big media win is on scans (fig05).
   for (bool strings : {false, true}) {
     for (int fmt : {0, 1}) {

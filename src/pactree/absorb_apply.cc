@@ -64,7 +64,8 @@ struct ArenaWatermark {
 // shared XPLines via the flush-combining window; the fingerprint array
 // contributes at most one line for the batch. The cursor goes durable with
 // the suffix bytes BEFORE the bitmap publish that exposes the slots, so a
-// recovered image never has a live descriptor above the recovered cursor.
+// recovered image never has a live key word pointing above the recovered
+// cursor.
 void FlushDirtySlots(DataNode* node, uint64_t dirty, ArenaWatermark* wm) {
   const bool is_compact = node->Format() == NodeFormat::kCompact;
   uint64_t d = dirty;

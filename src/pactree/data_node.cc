@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -17,9 +18,37 @@ namespace pactree {
 
 namespace {
 
-// Descriptor packing: | plen:6 @18 | slen:6 @12 | arena off:12 @0 |.
-constexpr uint32_t MakeDesc(size_t plen, size_t slen, size_t off) {
-  return static_cast<uint32_t>((plen << 18) | (slen << 12) | off);
+// Key word layout (CompactSlot::kw). The top byte is the form tag; key bytes
+// sit in the word in key order from its low byte up (little-endian hosts, so
+// memcpy between key bytes and the word keeps that order).
+//   whole-inline: | 1:1 | 0:1 | len:6 @56 | last min(len, 7) key bytes @0 |
+//   arena:        | 0:8 | head:32 @24 | plen:6 @18 | slen:6 @12 | off:12 @0 |
+// Unused inline bytes are zero, so one key has exactly one inline word.
+static_assert(std::endian::native == std::endian::little,
+              "key bytes are packed into the key word with memcpy");
+constexpr uint64_t kInlineTag = 1ULL << 63;
+constexpr uint64_t kArenaOffMask = 0xfff;
+
+bool IsInline(uint64_t kw) { return (kw & kInlineTag) != 0; }
+
+// Whole-inline word of |key|: its length and last min(len, 7) bytes. It
+// encodes |key| only in a node whose anchor image starts with the bytes
+// before that window.
+uint64_t InlineWord(const Key& key) {
+  const size_t w = std::min(key.size(), kWholeInlineBytes);
+  uint64_t window = 0;
+  std::memcpy(&window, key.data() + key.size() - w, w);
+  return kInlineTag | static_cast<uint64_t>(key.size()) << 56 | window;
+}
+
+// Key length of a whole-inline word, clamped so a torn or racing word never
+// indexes past Key::kMaxLen.
+size_t InlineLen(uint64_t kw) {
+  return std::min<size_t>((kw >> 56) & 0x3f, Key::kMaxLen);
+}
+
+constexpr uint64_t ArenaWord(size_t plen, size_t slen, size_t off, uint32_t head) {
+  return static_cast<uint64_t>(head) << 24 | plen << 18 | slen << 12 | off;
 }
 
 struct DescFields {
@@ -28,30 +57,32 @@ struct DescFields {
   size_t off;
 };
 
-// Arena bytes of a |slen|-byte suffix: all but its inline head.
+// Arena bytes of a |slen|-byte arena-form suffix: all but its head.
 constexpr size_t TailLen(size_t slen) {
-  return slen > kInlineSuffixBytes ? slen - kInlineSuffixBytes : 0;
+  return slen > kArenaHeadBytes ? slen - kArenaHeadBytes : 0;
 }
 
-// Decodes with defensive clamps: a torn or racing descriptor must never make
-// a reader index past the arena (observations are discarded on validation
-// failure, but the read itself has to stay in bounds).
-DescFields DecodeDesc(uint32_t d) {
+// Decodes an arena-form word with defensive clamps: a torn or racing word
+// must never make a reader index past the arena (observations are discarded
+// on validation failure, but the read itself has to stay in bounds).
+DescFields DecodeDesc(uint64_t kw) {
   DescFields f;
-  f.plen = std::min<size_t>((d >> 18) & 0x3f, Key::kMaxLen);
-  f.slen = std::min<size_t>((d >> 12) & 0x3f, Key::kMaxLen - f.plen);
-  f.off = d & 0xfff;
+  f.plen = std::min<size_t>((kw >> 18) & 0x3f, Key::kMaxLen);
+  f.slen = std::min<size_t>((kw >> 12) & 0x3f, Key::kMaxLen - f.plen);
+  f.off = kw & kArenaOffMask;
   if (f.off + TailLen(f.slen) > kCompactArenaBytes) {
-    f.slen = std::min(f.slen, kInlineSuffixBytes);
+    f.slen = std::min(f.slen, kArenaHeadBytes);
     f.off = 0;
   }
   return f;
 }
 
-// Suffix bytes (inline heads and arena tails) deliberately race: optimistic
-// readers (KeyAt/KeyEquals) may read a head FillSlot is rewriting or follow a
-// stale descriptor into a region PlaceSuffix or CompactArenaLocked is writing,
-// and discard the observation when the version check fails. TSan's libc
+uint32_t ArenaHead(uint64_t kw) { return static_cast<uint32_t>(kw >> 24); }
+
+// Arena tails deliberately race: optimistic readers (KeyAt/KeyEquals) may
+// follow a stale key word into a region PlaceSuffix or CompactArenaLocked is
+// writing, and discard the observation when the version check fails. (Inline
+// bytes arrive in the key word's own atomic load and never race.) TSan's libc
 // interceptors report memcmp/memcpy even when the calling function carries
 // PACTREE_NO_TSAN, so under TSan these accesses go through uninstrumented
 // plain loops; other builds keep libc.
@@ -89,8 +120,8 @@ void ArenaBytesCopy(uint8_t* dst, const uint8_t* src, size_t n) {
 
 // A suffix that finds no arena room is a caller bug (SuffixRoomFor under the
 // write lock, or a split point sized against the new anchor, must rule it
-// out). Storing the ~0u sentinel as a descriptor would make the slot decode
-// as a different key, so stop in every build instead.
+// out). Storing the sentinel as a key word would make the slot decode as a
+// different key, so stop in every build instead.
 [[noreturn]] void ArenaOverflow(const char* where) {
   std::fprintf(stderr, "DataNode::%s: suffix does not fit the compact arena\n",
                where);
@@ -106,15 +137,15 @@ uint64_t DataNode::Bitmap() const {
 
 int DataNode::CountLive() const { return __builtin_popcountll(Bitmap()); }
 
-uint32_t DataNode::LoadDesc(int slot) const {
-  return std::atomic_ref<uint32_t>(
-             const_cast<DataNode*>(this)->compact.slots[slot].desc)
+uint64_t DataNode::LoadKeyWord(int slot) const {
+  return std::atomic_ref<uint64_t>(
+             const_cast<DataNode*>(this)->compact.slots[slot].kw)
       .load(std::memory_order_acquire);
 }
 
-void DataNode::StoreDesc(int slot, uint32_t desc) {
-  std::atomic_ref<uint32_t>(compact.slots[slot].desc)
-      .store(desc, std::memory_order_release);
+void DataNode::StoreKeyWord(int slot, uint64_t kw) {
+  std::atomic_ref<uint64_t>(compact.slots[slot].kw)
+      .store(kw, std::memory_order_release);
 }
 
 size_t DataNode::SharedPrefixLen(const Key& anchor, const Key& key) {
@@ -128,7 +159,8 @@ size_t DataNode::SharedPrefixLen(const Key& anchor, const Key& key) {
 }
 
 size_t DataNode::ArenaNeed(const Key& anchor, const Key& key) {
-  return TailLen(key.size() - SharedPrefixLen(anchor, key));
+  const size_t slen = key.size() - SharedPrefixLen(anchor, key);
+  return slen > kWholeInlineBytes ? TailLen(slen) : 0;
 }
 
 size_t DataNode::ArenaNeed(const Key& key) const {
@@ -140,11 +172,20 @@ Key DataNode::KeyAt(int slot) const {
   if (Format() == NodeFormat::kClassic) {
     return classic.keys[slot];
   }
-  DescFields f = DecodeDesc(LoadDesc(slot));
-  const size_t hlen = std::min(f.slen, kInlineSuffixBytes);
+  const uint64_t kw = LoadKeyWord(slot);
   uint8_t buf[Key::kMaxLen];
+  if (IsInline(kw)) {
+    const size_t len = InlineLen(kw);
+    const size_t w = std::min(len, kWholeInlineBytes);
+    std::memcpy(buf, anchor.data(), len - w);
+    std::memcpy(buf + len - w, &kw, w);
+    return Key::FromBytes(buf, len);
+  }
+  DescFields f = DecodeDesc(kw);
+  const size_t hlen = std::min(f.slen, kArenaHeadBytes);
+  const uint32_t head = ArenaHead(kw);
   std::memcpy(buf, anchor.data(), f.plen);
-  ArenaBytesCopy(buf + f.plen, compact.slots[slot].head, hlen);
+  std::memcpy(buf + f.plen, &head, hlen);
   ArenaBytesCopy(buf + f.plen + hlen, compact.arena + f.off, f.slen - hlen);
   return Key::FromBytes(buf, f.plen + f.slen);
 }
@@ -154,19 +195,31 @@ bool DataNode::KeyEquals(int slot, const Key& key) const {
   if (Format() == NodeFormat::kClassic) {
     return classic.keys[slot] == key;
   }
-  DescFields f = DecodeDesc(LoadDesc(slot));
+  return KeyWordEquals(LoadKeyWord(slot), key);
+}
+
+PACTREE_NO_TSAN
+bool DataNode::KeyWordEquals(uint64_t kw, const Key& key) const {
+  // Truncated compare: the anchor-shared prefix (usually short), then the
+  // bytes in the word, then (arena form) the arena tail -- never the full
+  // 32-byte padded image.
+  if (IsInline(kw)) {
+    const size_t pre = key.size() - std::min(key.size(), kWholeInlineBytes);
+    return kw == InlineWord(key) &&
+           (pre == 0 || std::memcmp(key.data(), anchor.data(), pre) == 0);
+  }
+  DescFields f = DecodeDesc(kw);
   if (key.size() != f.plen + f.slen) {
     return false;
   }
-  // Truncated compare: the anchor-shared prefix first (usually short), then
-  // the inline head, then the arena tail -- never the full 32-byte padded
-  // image.
   if (f.plen != 0 && std::memcmp(key.data(), anchor.data(), f.plen) != 0) {
     return false;
   }
-  const size_t hlen = std::min(f.slen, kInlineSuffixBytes);
+  const size_t hlen = std::min(f.slen, kArenaHeadBytes);
   const uint8_t* suffix = key.data() + f.plen;
-  return ArenaBytesEqual(suffix, compact.slots[slot].head, hlen) &&
+  uint32_t head = 0;
+  std::memcpy(&head, suffix, hlen);
+  return head == ArenaHead(kw) &&
          ArenaBytesEqual(suffix + hlen, compact.arena + f.off, f.slen - hlen);
 }
 
@@ -199,18 +252,24 @@ int DataNode::FindKey(const Key& key, uint8_t fingerprint) const {
   while (candidates != 0) {
     int i = __builtin_ctzll(candidates);
     if (is_compact) {
-      // One slot record (descriptor, inline head, and the value a hit reads
-      // next), then only the arena bytes the truncated compare needs.
+      // One slot record (key word, and the value a hit reads next), then,
+      // for an arena-form word only, the arena bytes the compare needs.
       AnnotateNvmRead(&compact.slots[i], sizeof(CompactSlot));
-      DescFields f = DecodeDesc(LoadDesc(i));
-      if (TailLen(f.slen) != 0) {
-        AnnotateNvmRead(&compact.arena[f.off], TailLen(f.slen));
+      const uint64_t kw = LoadKeyWord(i);
+      if (!IsInline(kw)) {
+        DescFields f = DecodeDesc(kw);
+        if (TailLen(f.slen) != 0) {
+          AnnotateNvmRead(&compact.arena[f.off], TailLen(f.slen));
+        }
+      }
+      if (KeyWordEquals(kw, key)) {
+        return i;
       }
     } else {
       AnnotateNvmRead(&classic.keys[i], sizeof(Key));
-    }
-    if (KeyEquals(i, key)) {
-      return i;
+      if (classic.keys[i] == key) {
+        return i;
+      }
     }
     candidates &= candidates - 1;
   }
@@ -242,7 +301,11 @@ int DataNode::FindSharedTail(const uint8_t* tail, size_t n,
   while (live_mask != 0) {
     int i = __builtin_ctzll(live_mask);
     live_mask &= live_mask - 1;
-    DescFields f = DecodeDesc(LoadDesc(i));
+    const uint64_t kw = LoadKeyWord(i);
+    if (IsInline(kw)) {
+      continue;
+    }
+    DescFields f = DecodeDesc(kw);
     if (TailLen(f.slen) == n && std::memcmp(compact.arena + f.off, tail, n) == 0) {
       return static_cast<int>(f.off);
     }
@@ -252,35 +315,34 @@ int DataNode::FindSharedTail(const uint8_t* tail, size_t n,
 
 // Suffix placement for a compact slot. Sharing scan: an UPDATE of a live key
 // re-fills a fresh slot with the same bytes, and without sharing every such
-// churn would leak one arena tail until the next compaction. Only slots in
-// |live_mask| are candidates -- a dead slot's descriptor may point at bytes a
-// past compaction has reclaimed. The head is per slot and always copied.
+// churn would leak one arena tail until the next compaction. Only arena-form
+// slots in |live_mask| are candidates -- a dead slot's word may point at bytes
+// a past compaction has reclaimed.
 PACTREE_NO_TSAN
-uint32_t DataNode::PlaceSuffix(int slot, const Key& key, uint64_t live_mask,
+uint64_t DataNode::PlaceSuffix(const Key& key, uint64_t live_mask,
                                uint16_t* arena_lo, uint16_t* arena_hi) {
   const size_t plen = AnchorPrefixLen(key);
   const size_t slen = key.size() - plen;
-  const size_t tlen = ArenaNeed(key);
-  // Zero-padded so the record's persisted bytes never carry stale key bytes.
-  uint8_t head[kInlineSuffixBytes] = {};
-  std::memcpy(head, key.data() + plen, slen - tlen);
-  ArenaBytesCopy(compact.slots[slot].head, head, kInlineSuffixBytes);
-  if (tlen == 0) {
-    return MakeDesc(plen, slen, 0);
+  if (slen <= kWholeInlineBytes) {
+    return InlineWord(key);
   }
-  const uint8_t* tail = key.data() + plen + kInlineSuffixBytes;
+  const uint8_t* suffix = key.data() + plen;
+  uint32_t head;
+  std::memcpy(&head, suffix, kArenaHeadBytes);
+  const size_t tlen = TailLen(slen);
+  const uint8_t* tail = suffix + kArenaHeadBytes;
   if (int off = FindSharedTail(tail, tlen, live_mask); off >= 0) {
-    return MakeDesc(plen, slen, static_cast<size_t>(off));  // share the live copy
+    return ArenaWord(plen, slen, static_cast<size_t>(off), head);  // share the live copy
   }
   if (arena_cursor + tlen > kCompactArenaBytes) {
-    return ~0u;  // out of room: caller compacts and/or splits
+    return kNoArenaRoom;  // caller compacts and/or splits
   }
   const uint16_t off = arena_cursor;
   ArenaBytesCopy(compact.arena + off, tail, tlen);
   arena_cursor = static_cast<uint16_t>(off + tlen);
   *arena_lo = std::min(*arena_lo, off);
   *arena_hi = std::max<uint16_t>(*arena_hi, arena_cursor);
-  return MakeDesc(plen, slen, off);
+  return ArenaWord(plen, slen, off, head);
 }
 
 bool DataNode::SuffixRoomFor(const Key& key) const {
@@ -290,7 +352,7 @@ bool DataNode::SuffixRoomFor(const Key& key) const {
   }
   // No cursor room; a live identical arena tail still admits the key (mirrors
   // PlaceSuffix's sharing scan).
-  const uint8_t* tail = key.data() + AnchorPrefixLen(key) + kInlineSuffixBytes;
+  const uint8_t* tail = key.data() + AnchorPrefixLen(key) + kArenaHeadBytes;
   return FindSharedTail(tail, tlen, Bitmap()) >= 0;
 }
 
@@ -310,16 +372,16 @@ void DataNode::FillSlot(int slot, const Key& key, uint8_t fingerprint, uint64_t 
   }
   uint16_t lo = kCompactArenaBytes;
   uint16_t hi = 0;
-  uint32_t d = PlaceSuffix(slot, key, Bitmap(), &lo, &hi);
-  if (d == ~0u) {
+  const uint64_t kw = PlaceSuffix(key, Bitmap(), &lo, &hi);
+  if (kw == kNoArenaRoom) {
     ArenaOverflow("FillSlot");
   }
   compact.slots[slot].value = value;
-  StoreDesc(slot, d);
+  StoreKeyWord(slot, kw);
   fp[slot] = fingerprint;
-  // Record, then arena tail and cursor, all durable BEFORE the caller's
-  // bitmap publish: a recovered image never has a live descriptor above the
-  // recovered cursor.
+  // Record, then arena tail and cursor (arena form only), all durable BEFORE
+  // the caller's bitmap publish: a recovered image never has a live key word
+  // pointing above the recovered cursor.
   PersistRange(&compact.slots[slot], sizeof(CompactSlot));
   if (hi > lo) {
     PersistRange(&compact.arena[lo], hi - lo);
@@ -338,12 +400,12 @@ void DataNode::StageSlot(int slot, const Key& key, uint8_t fingerprint,
     fp[slot] = fingerprint;
     return;
   }
-  uint32_t d = PlaceSuffix(slot, key, Bitmap(), arena_lo, arena_hi);
-  if (d == ~0u) {
+  const uint64_t kw = PlaceSuffix(key, Bitmap(), arena_lo, arena_hi);
+  if (kw == kNoArenaRoom) {
     ArenaOverflow("StageSlot");
   }
   compact.slots[slot].value = value;
-  StoreDesc(slot, d);
+  StoreKeyWord(slot, kw);
   fp[slot] = fingerprint;
 }
 
@@ -364,7 +426,11 @@ size_t DataNode::CompactArenaLocked() {
   while (live != 0) {
     int i = __builtin_ctzll(live);
     live &= live - 1;
-    DescFields f = DecodeDesc(LoadDesc(i));
+    const uint64_t kw = LoadKeyWord(i);
+    if (IsInline(kw)) {
+      continue;
+    }
+    DescFields f = DecodeDesc(kw);
     if (TailLen(f.slen) != 0) {
       refs[nrefs++] = {static_cast<uint16_t>(f.off),
                        static_cast<uint16_t>(TailLen(f.slen)),
@@ -391,16 +457,15 @@ size_t DataNode::CompactArenaLocked() {
     }
     if (p + tlen <= off) {
       // Destination is fully free and disjoint from the source: copy, make the
-      // bytes durable, THEN swing each 4-B descriptor atomically (only the
-      // offset changes; the record's value and head stay as they are). A
-      // crash at any point leaves every live descriptor pointing at valid
-      // bytes.
+      // bytes durable, THEN swing each 8-B key word atomically (only the
+      // offset field changes; the record's value and head stay as they are).
+      // A crash at any point leaves every live word pointing at valid bytes.
       ArenaBytesCopy(compact.arena + p, compact.arena + off, tlen);
       PersistFence(&compact.arena[p], tlen);
       for (int j = g; j < gend; ++j) {
-        DescFields f = DecodeDesc(LoadDesc(refs[j].slot));
-        StoreDesc(refs[j].slot, MakeDesc(f.plen, f.slen, p));
-        PersistRange(&compact.slots[refs[j].slot].desc, sizeof(uint32_t));
+        const int s = refs[j].slot;
+        StoreKeyWord(s, (LoadKeyWord(s) & ~kArenaOffMask) | p);
+        PersistRange(&compact.slots[s].kw, sizeof(uint64_t));
       }
       Fence();  // swings durable before the cursor drop below
       p = static_cast<uint16_t>(p + tlen);

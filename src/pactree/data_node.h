@@ -13,15 +13,29 @@
 //   layout (§5.2).
 //
 //   kCompact -- 2048 B = 8 XPLines. Every key in a node is >= its immutable
-//   anchor and typically shares a long prefix with it, so a slot stores only a
-//   16-B record -- value, 4-B descriptor (prefix length vs the anchor, suffix
-//   length, arena offset), and the first 4 suffix bytes inline -- and the rest
-//   of the suffix lives in a packed append-only arena at the node tail
-//   (PaC-trees' compressed blocks, arXiv 2204.06077). A point hit reads the
-//   header line, the slot record's line (which also holds the value) and, for
-//   suffixes longer than 4 B, one arena line. The fingerprint array,
-//   bitmap-publish linearization, and 64-slot concurrency protocol are exactly
-//   the classic ones; only the slot bytes changed shape.
+//   anchor and typically shares a prefix with it, so a slot stores only a 16-B
+//   record -- the value and one 8-B key word -- plus, for long suffixes, a
+//   tail in a packed append-only arena at the node tail (PaC-trees'
+//   compressed blocks, arXiv 2204.06077: short entries inline, long ones
+//   spilled). The key word has two forms, chosen by its top bit:
+//
+//     whole-inline (top bit 1) -- the suffix past the anchor-shared prefix is
+//       <= 7 B. The word holds the key length and the key's last min(len, 7)
+//       bytes; the bytes before them are by definition the anchor's. Storing
+//       the length rather than the shared-prefix length is what frees room for
+//       7 bytes, and 7 covers an 8-B integer key that shares one byte with
+//       its anchor. The arena is never touched.
+//     arena (top bit 0) -- a descriptor (prefix length, suffix length, arena
+//       offset) and the first 4 suffix bytes; the rest of the suffix is in
+//       the arena.
+//
+//   The word is loaded and stored as one atomic, so a reader sees the length,
+//   the inline bytes and the arena offset of one encoding. A point hit reads
+//   the header line, then the slot record's line (key word and value) and,
+//   for arena-form keys only, one arena line: 2 lines for an integer key, 3
+//   for a long string suffix. The fingerprint array, bitmap-publish
+//   linearization, and 64-slot concurrency protocol are exactly the classic
+//   ones; only the slot bytes changed shape.
 //
 // The first 256 bytes (metadata, anchor, fingerprints, permutation) are
 // byte-identical in both formats; a per-node format byte written at creation
@@ -50,12 +64,14 @@ enum class NodeFormat : uint8_t {
   kCompact = 1,  // anchor-prefix-truncated suffixes in a packed arena
 };
 
-// Suffix bytes a compact slot record holds inline; only the rest of a suffix
+// Longest suffix a compact key word holds whole (whole-inline form).
+inline constexpr size_t kWholeInlineBytes = 7;
+// Leading suffix bytes an arena-form key word keeps; the rest of the suffix
 // goes to the arena.
-inline constexpr size_t kInlineSuffixBytes = 4;
+inline constexpr size_t kArenaHeadBytes = 4;
 
 // Suffix-arena capacity of a compact node: 12 B/slot on average. With the 4
-// inline bytes a full node holds 64 suffixes of up to 16 B each, as a 1024-B
+// head bytes a full node holds 64 suffixes of up to 16 B each, as a 1024-B
 // arena of whole suffixes would. Incompressible key sets exhaust the arena
 // before the bitmap fills; writers then compact the arena in place and, if
 // that is not enough, split the node early -- compact nodes trade worst-case
@@ -87,16 +103,12 @@ struct DataNode {
     uint64_t values[kDataNodeEntries]; // 2560
   };
   // One compact slot, 16 per XPLine: a probe that matched the slot reads its
-  // value from the line it already fetched for the descriptor.
+  // value from the line it already fetched for the key word.
   struct CompactSlot {
     uint64_t value;
-    // Key descriptor: | plen:6 @18 | slen:6 @12 | arena off:12 @0 |. The key
-    // is anchor-image[0, plen) ++ head[0, min(slen, 4)) ++
-    // arena[off, off + slen - 4), canonical length plen+slen. Stored/loaded as
-    // one 4-B atomic word so a descriptor swing (arena compaction) is
-    // indivisible to optimistic readers.
-    uint32_t desc;
-    uint8_t head[kInlineSuffixBytes];  // first suffix bytes, zero-padded
+    // Key word, stored/loaded as one 8-B atomic: whole-inline or arena form
+    // (see the top of this file; data_node.cc has the bit layout).
+    uint64_t kw;
   };
   struct CompactTail {
     CompactSlot slots[kDataNodeEntries];  // 256
@@ -156,8 +168,8 @@ struct DataNode {
   // callers flip the bit afterwards as the linearization point). Compact
   // nodes: the caller must have checked SuffixRoomFor(key) under the write
   // lock; the suffix append and cursor advance are persisted with the slot,
-  // BEFORE the caller's bitmap publish, so a recovered live descriptor always
-  // sits below the recovered cursor.
+  // BEFORE the caller's bitmap publish, so a recovered live key word never
+  // points above the recovered cursor.
   void FillSlot(int slot, const Key& key, uint8_t fingerprint, uint64_t value);
 
   // FillSlot without any persist (absorb drains coalesce flushes; split builds
@@ -167,8 +179,9 @@ struct DataNode {
   void StageSlot(int slot, const Key& key, uint8_t fingerprint, uint64_t value,
                  uint16_t* arena_lo, uint16_t* arena_hi);
 
-  // Arena bytes |key| takes in this node when no live copy is shared: its
-  // suffix past the anchor-shared prefix, minus the inline head. Classic: 0.
+  // Arena bytes |key| takes in this node when no live copy is shared: 0 when
+  // its suffix past the anchor-shared prefix fits the key word whole (<= 7 B),
+  // else the suffix minus the 4 head bytes. Classic: 0.
   size_t ArenaNeed(const Key& key) const;
   // The same count for a compact node anchored at |anchor| (a split sizes the
   // new node's arena before building it).
@@ -181,11 +194,12 @@ struct DataNode {
 
   // Compact only: in-place crash-safe arena compaction under the node's write
   // lock. Live = the PUBLISHED bitmap, so callers must publish any pending
-  // batch-local bitmap first. Each live suffix is only ever copied into a
-  // fully-free region before its 4-B descriptor atomically swings (a crash
-  // leaves every live descriptor pointing at valid, persisted bytes); moves
-  // whose destination overlaps the source are skipped, then the cursor drops
-  // to the end of the highest live suffix. Returns bytes reclaimed.
+  // batch-local bitmap first. Each live arena tail is only ever copied into a
+  // fully-free region before the offset field of its 8-B key word atomically
+  // swings (a crash leaves every live word pointing at valid, persisted
+  // bytes); whole-inline words are never touched. Moves whose destination
+  // overlaps the source are skipped, then the cursor drops to the end of the
+  // highest live tail. Returns bytes reclaimed.
   size_t CompactArenaLocked();
 
   // Atomically stores+persists a new bitmap value (linearization point).
@@ -213,21 +227,24 @@ struct DataNode {
 
  private:
   // Compact internals (data_node.cc).
-  uint32_t LoadDesc(int slot) const;
-  void StoreDesc(int slot, uint32_t desc);
+  uint64_t LoadKeyWord(int slot) const;
+  void StoreKeyWord(int slot, uint64_t kw);
+  // True when key word |kw| of this node encodes exactly |key|.
+  bool KeyWordEquals(uint64_t kw, const Key& key) const;
   // Length of the prefix |key| shares with the anchor (capped at its size).
   size_t AnchorPrefixLen(const Key& key) const { return SharedPrefixLen(anchor, key); }
   static size_t SharedPrefixLen(const Key& anchor, const Key& key);
-  // Arena offset of a live slot whose arena tail equals |tail| (|n| bytes),
-  // among |live_mask|, or -1.
+  // Arena offset of a live arena-form slot whose arena tail equals |tail|
+  // (|n| bytes), among |live_mask|, or -1.
   int FindSharedTail(const uint8_t* tail, size_t n, uint64_t live_mask) const;
-  // Places |key|'s suffix: writes the slot's inline head, then shares an
-  // identical live arena tail among |live_mask| slots when possible and
-  // appends at the cursor otherwise. Returns the packed descriptor, or ~0u
-  // when the arena is out of room. Appended bytes are NOT persisted here;
-  // [*arena_lo, *arena_hi) grows over them.
-  uint32_t PlaceSuffix(int slot, const Key& key, uint64_t live_mask,
-                       uint16_t* arena_lo, uint16_t* arena_hi);
+  // Encodes |key| as a key word. A suffix of <= 7 B is whole-inline and
+  // touches nothing; a longer one shares an identical live arena tail among
+  // |live_mask| slots when possible and appends at the cursor otherwise.
+  // Returns the word, or kNoArenaRoom when the arena is out of room. Appended
+  // bytes are NOT persisted here; [*arena_lo, *arena_hi) grows over them.
+  static constexpr uint64_t kNoArenaRoom = ~0ULL;
+  uint64_t PlaceSuffix(const Key& key, uint64_t live_mask, uint16_t* arena_lo,
+                       uint16_t* arena_hi);
 };
 
 static_assert(sizeof(DataNode) == 3072, "classic node must be exactly 12 XPLines");
@@ -240,7 +257,9 @@ static_assert(offsetof(DataNode::ClassicTail, values) == 2304,
 static_assert(sizeof(DataNode::CompactSlot) == 16, "four slot records per cache line");
 static_assert(offsetof(DataNode, compact) % 256 == 0 &&
                   256 % sizeof(DataNode::CompactSlot) == 0,
-              "a slot's value, descriptor and head share one XPLine");
+              "a slot's value and key word share one XPLine");
+static_assert(offsetof(DataNode::CompactSlot, kw) % 8 == 0,
+              "the key word is one aligned atomic");
 static_assert(offsetof(DataNode::CompactTail, arena) == 1024,
               "compact arena after the slot records");
 static_assert(offsetof(DataNode, compact) + sizeof(DataNode::CompactTail) ==

@@ -24,11 +24,13 @@ namespace {
 // Root magic, one per on-media layout. "PACTREE1" pools keep 48-B ArtLeaf
 // records as search-layer leaves; from "PACTREE2" on, trie leaves are the data
 // nodes themselves; "PACTREE3" compact nodes keep each slot's value,
-// descriptor and suffix head in one 16-B record. Pools of another layout are
-// refused, never converted or wiped.
+// descriptor and suffix head in one 16-B record; "PACTREE4" compact records
+// are {value, key word}, and suffixes of up to 7 B sit whole in the word.
+// Pools of another layout are refused, never converted or wiped.
 constexpr uint64_t kPacMagicRecordLeaves = 0x3145455254434150ULL;  // "PACTREE1"
 constexpr uint64_t kPacMagicSplitSlots = 0x3245455254434150ULL;    // "PACTREE2"
-constexpr uint64_t kPacMagic = 0x3345455254434150ULL;              // "PACTREE3"
+constexpr uint64_t kPacMagicHeadSlots = 0x3345455254434150ULL;     // "PACTREE3"
+constexpr uint64_t kPacMagic = 0x3445455254434150ULL;              // "PACTREE4"
 // The search layer's leaves are the data nodes: a leaf's key is its anchor.
 constexpr int kTrieLeafKeyOffset = offsetof(DataNode, anchor);
 constexpr int kMergeThreshold = 24;  // merge when combined live keys fit easily
@@ -109,16 +111,20 @@ bool PacTree::Init(const PacTreeOptions& opts, Status* why) {
   if (uint64_t magic = 0;
       PmemHeap::PeekRootMagic(opts.name + ".data", &magic) && magic != 0 &&
       magic != kPacMagic) {
-    const bool old = magic == kPacMagicRecordLeaves || magic == kPacMagicSplitSlots;
+    const bool old = magic == kPacMagicRecordLeaves || magic == kPacMagicSplitSlots ||
+                     magic == kPacMagicHeadSlots;
     const char* layout =
         magic == kPacMagicRecordLeaves
             ? "PACTREE1, the old layout whose search-layer leaves are 48-B ArtLeaf records"
         : magic == kPacMagicSplitSlots
             ? "PACTREE2, the old layout whose compact nodes keep values, descriptors "
               "and suffixes in separate arrays"
+        : magic == kPacMagicHeadSlots
+            ? "PACTREE3, the old layout whose compact slot records keep a 4-B "
+              "descriptor and 4 suffix bytes, with every longer suffix in the arena"
             : "unknown or corrupt root";
     std::fprintf(stderr,
-                 "pactree: '%s' has root magic 0x%016llx (%s); this build reads PACTREE3 "
+                 "pactree: '%s' has root magic 0x%016llx (%s); this build reads PACTREE4 "
                  "pools only. Refusing to open; files left untouched.\n",
                  opts.name.c_str(), static_cast<unsigned long long>(magic), layout);
     *why = old ? Status::kOldLayout : Status::kCorrupted;

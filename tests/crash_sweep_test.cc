@@ -329,8 +329,9 @@ TEST_F(CrashSweepTest, PacTreeClassicSplit) {
 
 // A 28-byte string key ("key/" + 24 digits): against the head node's all-zero
 // anchor the shared prefix is empty, so each distinct key costs its whole
-// suffix less the 4 inline head bytes: 24 bytes of arena. (Integer keys would
-// share their leading zero bytes with the anchor and barely touch the arena.)
+// suffix less the 4 head bytes its key word keeps: 24 bytes of arena.
+// (Integer keys with a leading zero byte share it with the anchor and sit
+// whole in the key word.)
 Key ArenaKey(uint64_t i) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "key/%024llu", static_cast<unsigned long long>(i));
@@ -404,8 +405,8 @@ TEST_F(CrashSweepTest, PacTreeSharedTailSplit) {
 
 TEST_F(CrashSweepTest, PacTreeUpdate) {
   // An out-of-place overwrite of a live compact key: the update fills a free
-  // slot with the same key -- a fresh 16-B record whose inline head is copied
-  // and whose descriptor shares the live slot's arena tail -- then flips both
+  // slot with the same key -- a fresh 16-B record whose arena-form key word
+  // shares the live slot's arena tail -- then flips both
   // bitmap bits in one store. Every crash point must recover the key with
   // exactly its old or its new value, and the shared tail must still read
   // back for whichever slot survived.
@@ -420,6 +421,53 @@ TEST_F(CrashSweepTest, PacTreeUpdate) {
     idx->Update(ArenaKey(5), 555);
     exp->acked.erase(ArenaKey(5));
     exp->updating[ArenaKey(5)] = {5, 555};
+  };
+  SweepAllModes(IndexKind::kPacTree, sc);
+}
+
+// 8-byte integer keys whose suffix past the head node's zero anchor fits a
+// whole-inline key word: |zeros| leading zero bytes (1 or 2) are shared with
+// the anchor image, so the stored 7-byte window starts at byte 1 -- a byte of
+// the key itself (zeros == 1) or one of the shared prefix (zeros == 2).
+Key InlineIntKey(int zeros, uint64_t i) {
+  const uint64_t body = zeros == 1 ? 0x00a1b2c3d4e5f600ULL : 0x0000b2c3d4e5f600ULL;
+  return Key::FromInt(body | (i + 1));
+}
+
+TEST_F(CrashSweepTest, PacTreeInlineKeyUpdate) {
+  // One compact node holding whole-inline 8-B integer keys next to arena-form
+  // string keys (ArenaKey, 24 arena bytes each). As in
+  // PacTreeCompactArenaCompaction, 16 live string keys plus 16 churned ones
+  // leave the arena cursor at 768. The window first overwrites an inline key
+  // out of place (a fresh record whose key word needs no arena bytes, then
+  // both bitmap bits flip), then inserts a string key, which finds no arena
+  // room and compacts: only the arena-form words' offsets swing, the inline
+  // words stay as they are. Every crash point must recover every key intact.
+  SweepScenario sc;
+  sc.setup = [](RangeIndex* idx, RecoveryExpectation* exp) {
+    for (uint64_t i = 0; i < 4; ++i) {
+      for (int zeros : {1, 2}) {
+        ASSERT_EQ(idx->Insert(InlineIntKey(zeros, i), 10 * i + zeros), Status::kOk);
+        exp->acked[InlineIntKey(zeros, i)] = 10 * i + zeros;
+      }
+    }
+    for (uint64_t i = 1; i <= 16; ++i) {
+      ASSERT_EQ(idx->Insert(ArenaKey(i), i), Status::kOk) << i;
+      exp->acked[ArenaKey(i)] = i;
+    }
+    for (uint64_t j = 0; j < 16; ++j) {
+      ASSERT_EQ(idx->Insert(ArenaKey(1000 + j), j + 1), Status::kOk) << j;
+      ASSERT_EQ(idx->Remove(ArenaKey(1000 + j)), Status::kOk) << j;
+      exp->removed.push_back(ArenaKey(1000 + j));
+    }
+  };
+  sc.window = [](RangeIndex* idx, RecoveryExpectation* exp) {
+    const Key k = InlineIntKey(1, 2);
+    idx->Update(k, 777);
+    exp->acked.erase(k);
+    exp->updating[k] = {21, 777};
+    idx->Insert(ArenaKey(500), 501);
+    exp->inflight[ArenaKey(500)] = 501;
   };
   SweepAllModes(IndexKind::kPacTree, sc);
 }

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/random.h"
@@ -66,14 +67,15 @@ TEST(DataNodeLayoutTest, SharedHeaderAndFormatTails) {
   EXPECT_EQ(offsetof(DataNode, compact), 256u);
   EXPECT_EQ(offsetof(DataNode, classic) + offsetof(DataNode::ClassicTail, values),
             2560u);
-  // Compact: 64 16-B slot records (value, descriptor, inline suffix head),
-  // then the 768-B arena of suffix tails.
+  // Compact: 64 16-B slot records (value, 8-B key word), then the 768-B
+  // arena of suffix tails.
   EXPECT_EQ(offsetof(DataNode, compact) + offsetof(DataNode::CompactTail, slots),
             256u);
   EXPECT_EQ(sizeof(DataNode::CompactSlot), 16u);
   EXPECT_EQ(offsetof(DataNode::CompactSlot, value), 0u);
-  EXPECT_EQ(offsetof(DataNode::CompactSlot, desc), 8u);
-  EXPECT_EQ(offsetof(DataNode::CompactSlot, head), 12u);
+  EXPECT_EQ(offsetof(DataNode::CompactSlot, kw), 8u);
+  EXPECT_EQ(kWholeInlineBytes, 7u);
+  EXPECT_EQ(kArenaHeadBytes, 4u);
   EXPECT_EQ(offsetof(DataNode, compact) + offsetof(DataNode::CompactTail, arena),
             1280u);
   EXPECT_EQ(kCompactArenaBytes, 768u);
@@ -369,14 +371,21 @@ TEST_P(DataNodeTest, SuffixRoomForReportsSharingAndExhaustion) {
   EXPECT_TRUE(node_->SuffixRoomFor(Key::Min()));
 }
 
-// Keys whose suffix past the anchor is exactly |slen| bytes, for every split
-// of the suffix between the inline head and the arena tail: each one reads
-// back through KeyAt, matches itself in KeyEquals, and is found by FindKey,
-// while keys that differ only in the head or only in the tail are not.
+// Keys of |klen| bytes whose suffix past the anchor is exactly |slen| bytes,
+// on both sides of the whole-inline limit (7 B), for every split of a longer
+// suffix between the key word's head and the arena tail, and for keys shorter
+// than the 7-byte window: each one reads back through KeyAt, matches itself
+// in KeyEquals, and is found by FindKey, while keys that differ in one byte
+// -- of the suffix's start, of its end, or of the anchor-shared prefix -- are
+// not.
 TEST_P(DataNodeTest, SuffixLengthsRoundTrip) {
-  for (size_t slen : {0, 1, 3, 4, 5, 16, 28, 32}) {
-    SCOPED_TRACE(slen);
-    const std::string anchor_bytes(Key::kMaxLen - slen, 'a');
+  const std::pair<size_t, size_t> cases[] = {
+      {32, 0}, {32, 1}, {32, 3}, {32, 4}, {32, 5}, {32, 6}, {32, 7}, {32, 8},
+      {32, 9}, {32, 16}, {32, 28}, {32, 32}, {1, 1}, {3, 3}, {3, 1}, {6, 6},
+      {6, 2}};
+  for (const auto& [klen, slen] : cases) {
+    SCOPED_TRACE(testing::Message() << "klen " << klen << " slen " << slen);
+    const std::string anchor_bytes(klen - slen, 'a');
     ResetNode(Key::FromString(anchor_bytes));
     // Neighbours differ from each other in the last suffix byte only; with
     // slen == 0 the anchor itself is the one key.
@@ -389,13 +398,16 @@ TEST_P(DataNodeTest, SuffixLengthsRoundTrip) {
         suffix.back() = static_cast<char>('b' + i);
       }
       Key k = Key::FromString(anchor_bytes + suffix);
-      ASSERT_EQ(node_->ArenaNeed(k), compact() && slen > 4 ? slen - 4 : 0);
+      ASSERT_EQ(node_->ArenaNeed(k), compact() && slen > 7 ? slen - 4 : 0);
       ASSERT_TRUE(node_->SuffixRoomFor(k));
       node_->FillSlot(3 * i, k, k.Fingerprint(), 100 + i);
       bitmap |= 1ULL << (3 * i);
       keys.push_back(k);
     }
     node_->PublishBitmap(bitmap);
+    if (compact()) {
+      EXPECT_EQ(node_->arena_cursor, slen > 7 ? 8 * (slen - 4) : 0);
+    }
     for (int i = 0; i < nkeys; ++i) {
       const Key& k = keys[i];
       EXPECT_EQ(node_->KeyAt(3 * i), k);
@@ -407,47 +419,88 @@ TEST_P(DataNodeTest, SuffixLengthsRoundTrip) {
       continue;
     }
     // Slot 0's key with one byte changed: the first suffix byte (in the
-    // head), then the last one (in the tail when the suffix has one). A
-    // key one byte shorter is not equal either.
-    const std::string suffix0(keys[0].data() + anchor_bytes.size(),
-                              keys[0].data() + keys[0].size());
-    for (size_t at : {size_t{0}, slen - 1}) {
-      std::string off = suffix0;
+    // key word), the last one (in the arena tail when the suffix has one),
+    // and the last anchor-shared byte (inside the stored 7-byte window when
+    // the key is whole-inline). A key one byte shorter is not equal either.
+    const std::string key0(keys[0].data(), keys[0].data() + keys[0].size());
+    for (size_t at : {anchor_bytes.size(), klen - 1, anchor_bytes.size() - 1}) {
+      if (at >= klen) {
+        continue;  // no anchor-shared byte when slen == klen
+      }
+      std::string off = key0;
       off[at] = 'z';
-      Key miss = Key::FromString(anchor_bytes + off);
+      Key miss = Key::FromString(off);
       EXPECT_FALSE(node_->KeyEquals(0, miss)) << at;
       EXPECT_EQ(node_->FindKey(miss, miss.Fingerprint()), -1) << at;
     }
-    Key shorter = Key::FromString(anchor_bytes + suffix0.substr(0, slen - 1));
+    Key shorter = Key::FromString(key0.substr(0, klen - 1));
     EXPECT_FALSE(node_->KeyEquals(0, shorter));
+  }
+}
+
+// A compact node anchored at a random 8-B integer key and filled with 64 keys
+// that share only its first byte (the benchmark's int-key shape): every
+// suffix is at most 7 B, so no key touches the arena, and every key still
+// reads back through KeyAt, KeyEquals, FindKey and the sorted order.
+TEST_P(DataNodeTest, IntKeysLeaveTheArenaEmpty) {
+  if (!compact()) {
+    GTEST_SKIP() << "classic nodes have no arena";
+  }
+  Rng rng(2204);
+  for (int trial = 0; trial < 20; ++trial) {
+    SCOPED_TRACE(trial);
+    const uint64_t anchor = rng.Next() | 1;
+    ResetNode(Key::FromInt(anchor));
+    std::map<Key, int> slot_of;
+    while (slot_of.size() < kDataNodeEntries) {
+      // First byte of the anchor, second byte different: 7-B suffixes.
+      uint64_t v = (anchor & 0xff00000000000000ULL) | (rng.Next() >> 8);
+      if (((v ^ anchor) >> 48 & 0xff) == 0) {
+        v ^= 1ULL << 48;
+      }
+      Key k = Key::FromInt(v);
+      if (slot_of.count(k) != 0) {
+        continue;
+      }
+      const int slot = static_cast<int>(slot_of.size());
+      ASSERT_EQ(node_->ArenaNeed(k), 0u);
+      node_->FillSlot(slot, k, k.Fingerprint(), v);
+      slot_of[k] = slot;
+    }
+    node_->PublishBitmap(~0ULL);
+    EXPECT_EQ(node_->arena_cursor, 0);
+    for (const auto& [k, slot] : slot_of) {
+      ASSERT_EQ(node_->KeyAt(slot), k);
+      ASSERT_TRUE(node_->KeyEquals(slot, k));
+      ASSERT_EQ(node_->FindKey(k, k.Fingerprint()), slot);
+      ASSERT_EQ(node_->ValueAt(slot), k.ToInt());
+    }
+    uint8_t order[kDataNodeEntries];
+    ASSERT_EQ(node_->ComputeSortedOrder(order), static_cast<int>(kDataNodeEntries));
+    auto it = slot_of.begin();
+    for (size_t i = 0; i < kDataNodeEntries; ++i, ++it) {
+      ASSERT_EQ(order[i], it->second);
+    }
   }
 }
 
 // The media cost of a cold point hit on a compact node, read off the pool's
 // counters: the header line (what JumpWalk reads), the slot record's line
-// (descriptor, head, and the value), and one arena line for a suffix longer
-// than the 4 inline bytes -- nothing else.
+// (key word and value) and, only for a suffix longer than the 7 bytes a key
+// word holds whole, one arena line -- nothing else.
 TEST_P(DataNodeTest, ColdCompactHitReadsHeaderSlotAndArenaLines) {
   if (!compact()) {
     GTEST_SKIP() << "classic keys and values live on separate lines";
   }
-  const Key anchor = Key::FromString("node/");
   const NvmThreadCounters& c = LocalNvmCounters(ToPPtr(node_).pool());
-  // Arena tails of 0, 0, 1, 4 and 8 bytes, appended from the arena's XPLine-
-  // aligned start: none of them crosses an XPLine boundary.
-  for (size_t slen : {2, 4, 5, 8, 12}) {
-    SCOPED_TRACE(slen);
+  // Fills a full node anchored at |anchor| with |keys| and checks that each
+  // key with a unique fingerprint costs exactly |lines| XPLines cold.
+  auto measure = [&](const Key& anchor, const std::vector<Key>& keys,
+                     uint64_t lines) {
     ResetNode(anchor);
-    // A full node: 64 distinct suffixes of |slen| bytes.
-    std::vector<Key> keys;
     for (int i = 0; i < static_cast<int>(kDataNodeEntries); ++i) {
-      std::string suffix(slen, 'k');
-      suffix[slen - 2] = static_cast<char>('A' + i / 8);
-      suffix[slen - 1] = static_cast<char>('A' + i % 8);
-      Key k = Key::FromString("node/" + suffix);
-      ASSERT_TRUE(node_->SuffixRoomFor(k));
-      node_->FillSlot(i, k, k.Fingerprint(), i);
-      keys.push_back(k);
+      ASSERT_TRUE(node_->SuffixRoomFor(keys[i]));
+      node_->FillSlot(i, keys[i], keys[i].Fingerprint(), i);
     }
     node_->PublishBitmap(~0ULL);
     int measured = 0;
@@ -471,13 +524,37 @@ TEST_P(DataNodeTest, ColdCompactHitReadsHeaderSlotAndArenaLines) {
       ASSERT_EQ(slot, i);
       AnnotateNvmRead(node_->ValueSlot(slot), sizeof(uint64_t));
       ASSERT_EQ(node_->ValueAt(slot), static_cast<uint64_t>(i));
-      const uint64_t lines = slen > kInlineSuffixBytes ? 3 : 2;
       EXPECT_EQ(c.read_misses.load() - misses, lines);
       EXPECT_EQ(c.media_read_bytes.load() - bytes, lines * 256);
       EXPECT_EQ(c.read_prefetches.load() - prefetches, 0u);
       ++measured;
     }
     EXPECT_GT(measured, 32);
+  };
+  // Suffixes of 2..12 bytes past "node/". Arena tails (8 and 12 B suffixes:
+  // 4 and 8 bytes) are appended from the arena's XPLine-aligned start, so
+  // none crosses an XPLine boundary.
+  for (size_t slen : {2, 4, 5, 6, 7, 8, 12}) {
+    SCOPED_TRACE(slen);
+    std::vector<Key> keys;
+    for (int i = 0; i < static_cast<int>(kDataNodeEntries); ++i) {
+      std::string suffix(slen, 'k');
+      suffix[slen - 2] = static_cast<char>('A' + i / 8);
+      suffix[slen - 1] = static_cast<char>('A' + i % 8);
+      keys.push_back(Key::FromString("node/" + suffix));
+    }
+    measure(Key::FromString("node/"), keys, slen > kWholeInlineBytes ? 3 : 2);
+  }
+  // 8-B integer keys sharing only their first byte with an 8-B anchor.
+  {
+    SCOPED_TRACE("int keys");
+    const uint64_t anchor = 0x5a10203040506071ULL;
+    std::vector<Key> keys;
+    for (uint64_t i = 0; i < kDataNodeEntries; ++i) {
+      keys.push_back(Key::FromInt(0x5a80000000000001ULL + (i << 32) + (i << 8)));
+      ASSERT_EQ(keys.back().size(), 8u);
+    }
+    measure(Key::FromInt(anchor), keys, 2);
   }
 }
 

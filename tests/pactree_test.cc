@@ -402,8 +402,9 @@ TEST_F(PacTreeTest, RefusesOtherLayoutPoolsAndLeavesFilesUntouched) {
   // status naming it and keep every byte of every pool file: "PACTREE1"
   // pools hold 48-B ArtLeaf search-layer records this build would misread
   // as data nodes, "PACTREE2" compact nodes keep values, descriptors and
-  // suffixes where this build's 16-B slot records are, and an unknown magic
-  // is a corrupt root, not a fresh pool.
+  // suffixes where this build's 16-B slot records are, "PACTREE3" records
+  // hold a 4-B descriptor and 4 head bytes where this build reads one key
+  // word, and an unknown magic is a corrupt root, not a fresh pool.
   PacTreeOptions o = opts_;
   o.name = "pt_layout";
   o.pool_size = 16 << 20;
@@ -420,6 +421,7 @@ TEST_F(PacTreeTest, RefusesOtherLayoutPoolsAndLeavesFilesUntouched) {
   const std::pair<uint64_t, Status> roots[] = {
       {0x3145455254434150ULL, Status::kOldLayout},  // "PACTREE1"
       {0x3245455254434150ULL, Status::kOldLayout},  // "PACTREE2"
+      {0x3345455254434150ULL, Status::kOldLayout},  // "PACTREE3"
       {0x0123456789abcdefULL, Status::kCorrupted},
   };
   for (const auto& [magic, want] : roots) {
