@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Throughput regression gate over the checked-in bench baselines.
+"""Throughput and media-bytes regression gate over the checked-in bench baselines.
 
 Usage: check_regression.py BASELINE.json CURRENT.json [--threshold 0.15]
 
 Both files are bench_common.h --json dumps ({"bench":..., "rows":[...]}).
 Rows are matched across the two files by their identity fields (phase, mode,
-index, workload, threads, batch); every throughput metric present in both
+index, workload, threads, batch). Every throughput metric present in both
 copies of a matched row (mops, kscans) must come in no more than |threshold|
-below the baseline. A baseline row with no matching current row fails too --
-a bench that silently dropped a phase would otherwise pass on coverage loss.
+below the baseline, and every media-bytes metric (read_bytes_per_op,
+read_bytes_per_scan) no more than |threshold| above it. A baseline row with no
+matching current row fails too -- a bench that silently dropped a phase would
+otherwise pass on coverage loss.
 
 Extra rows in CURRENT (new phases, new metrics) are fine: baselines only
 ratchet what they already measure.
@@ -17,7 +19,8 @@ import json
 import sys
 
 IDENTITY_FIELDS = ("phase", "mode", "index", "workload", "threads", "batch")
-THROUGHPUT_FIELDS = ("mops", "kscans")
+THROUGHPUT_FIELDS = ("mops", "kscans")            # higher is better
+BYTES_FIELDS = ("read_bytes_per_op", "read_bytes_per_scan")  # lower is better
 
 
 def load_rows(path):
@@ -47,7 +50,7 @@ def main():
     checked = 0
     for base in baseline:
         key = row_key(base)
-        metrics = [f for f in THROUGHPUT_FIELDS if f in base]
+        metrics = [f for f in THROUGHPUT_FIELDS + BYTES_FIELDS if f in base]
         if not metrics:
             continue  # summary/ratio rows are not ratcheted
         cur = by_key.get(key)
@@ -59,6 +62,14 @@ def main():
                 failures.append("row %s lost metric %r" % (dict(key), m))
                 continue
             checked += 1
+            if m in BYTES_FIELDS:
+                ceiling = base[m] * (1.0 + threshold)
+                if cur[m] > ceiling:
+                    failures.append(
+                        "row %s: %s %.3f -> %.3f (+%.1f%%, ceiling %.3f)"
+                        % (dict(key), m, base[m], cur[m],
+                           100.0 * (cur[m] / base[m] - 1.0), ceiling))
+                continue
             floor = base[m] * (1.0 - threshold)
             if cur[m] < floor:
                 failures.append(

@@ -40,9 +40,11 @@ int main(int argc, char** argv) {
   std::printf("# paper shape: FastFair ~1.5x faster scans with ~1.6x fewer reads\n");
 
   // --- PACTree data-node format: classic 3072-B vs compact 2048-B ----------
-  // Scans stream whole data nodes, so the compact layout's smaller nodes cut
-  // media reads per scan directly (target >= 1.2x on string keys, where the
-  // anchor-prefix truncation earns the 2048-B footprint).
+  // A scan reads a classic node whole, and of a compact node only the header
+  // line, the slot lines holding live slots and the arena below its cursor,
+  // so the compact layout cuts media reads per scan directly (target >= 1.2x
+  // on string keys, where the anchor-prefix truncation earns the 2048-B
+  // footprint).
   for (bool strings : {false, true}) {
     for (int fmt : {0, 1}) {
       ConfigureNvmMachine();

@@ -339,7 +339,9 @@ uint64_t DataNode::PlaceSuffix(const Key& key, uint64_t live_mask,
   }
   const uint16_t off = arena_cursor;
   ArenaBytesCopy(compact.arena + off, tail, tlen);
-  arena_cursor = static_cast<uint16_t>(off + tlen);
+  // Atomic: SortedEntries reads the cursor without the node lock.
+  std::atomic_ref<uint16_t>(arena_cursor)
+      .store(static_cast<uint16_t>(off + tlen), std::memory_order_relaxed);
   *arena_lo = std::min(*arena_lo, off);
   *arena_hi = std::max<uint16_t>(*arena_hi, arena_cursor);
   return ArenaWord(plen, slen, off, head);
@@ -478,7 +480,7 @@ size_t DataNode::CompactArenaLocked() {
   }
   const uint16_t old_cursor = arena_cursor;
   if (p < old_cursor) {
-    arena_cursor = p;
+    std::atomic_ref<uint16_t>(arena_cursor).store(p, std::memory_order_relaxed);
     PersistFence(&arena_cursor, sizeof(arena_cursor));
   }
   return p < old_cursor ? old_cursor - p : 0;
@@ -488,25 +490,68 @@ void DataNode::PublishBitmap(uint64_t new_bitmap) {
   AtomicStorePersist(reinterpret_cast<std::atomic<uint64_t>*>(&bitmap), new_bitmap);
 }
 
-// Reads live-slot keys optimistically; callers version-check the result.
+// Reads live slots optimistically; callers version-check the result.
 PACTREE_NO_TSAN
-int DataNode::ComputeSortedOrder(uint8_t* out) const {
-  uint64_t live = Bitmap();
-  int n = 0;
-  while (live != 0) {
-    out[n++] = static_cast<uint8_t>(__builtin_ctzll(live));
-    live &= live - 1;
+int DataNode::ComputeSortedOrder(uint8_t* out, Key* keys) const {
+  Key local[kDataNodeEntries];
+  if (keys == nullptr) {
+    keys = local;
   }
+  int n = 0;
+  for (uint64_t live = Bitmap(); live != 0; live &= live - 1) {
+    const int s = __builtin_ctzll(live);
+    keys[s] = KeyAt(s);
+    out[n++] = static_cast<uint8_t>(s);
+  }
+  std::sort(out, out + n,
+            [keys](uint8_t a, uint8_t b) { return keys[a] < keys[b]; });
+  return n;
+}
+
+// perm is read and written bytewise, not with memcpy (see ArenaBytesCopy): a
+// stale-token publisher may rewrite it while a current-token reader reads it.
+// perm_version MUST be loaded before the bitmap: a publisher that then sees
+// perm_version == v decodes a state no older than v, so it rewrites v's order
+// (or a newer one, which fails every v reader's validation), never an older.
+PACTREE_NO_TSAN
+int DataNode::SortedEntries(uint64_t version, std::pair<Key, uint64_t>* out) {
+  std::atomic_ref<uint64_t> pv_ref(perm_version);
+  uint64_t pv = pv_ref.load(std::memory_order_acquire);
+  const uint64_t live = Bitmap();
   if (Format() == NodeFormat::kClassic) {
-    std::sort(out, out + n,
-              [this](uint8_t a, uint8_t b) { return classic.keys[a] < classic.keys[b]; });
+    AnnotateNvmRead(this, NodeBytes());
   } else {
-    Key keys[kDataNodeEntries];
-    for (int i = 0; i < n; ++i) {
-      keys[out[i]] = KeyAt(out[i]);
+    AnnotateNvmRead(this, kProbeSpanBytes);
+    constexpr size_t kSlotsPerLine = kXpLineSize / sizeof(CompactSlot);
+    for (size_t s = 0; s < kDataNodeEntries; s += kSlotsPerLine) {
+      if ((live >> s & ((1ULL << kSlotsPerLine) - 1)) != 0) {
+        AnnotateNvmRead(&compact.slots[s], kXpLineSize);
+      }
     }
-    std::sort(out, out + n,
-              [&keys](uint8_t a, uint8_t b) { return keys[a] < keys[b]; });
+    const uint16_t cursor = std::atomic_ref<uint16_t>(arena_cursor)
+                                .load(std::memory_order_relaxed);
+    AnnotateNvmRead(compact.arena, std::min<size_t>(cursor, kCompactArenaBytes));
+  }
+  if (pv == version) {
+    const int n = __builtin_popcountll(live);
+    for (int i = 0; i < n; ++i) {
+      const int s = perm[i] % kDataNodeEntries;
+      out[i] = {KeyAt(s), ValueAt(s)};
+    }
+    return n;
+  }
+  Key keys[kDataNodeEntries];
+  uint8_t order[kDataNodeEntries];
+  const int n = ComputeSortedOrder(order, keys);
+  for (int i = 0; i < n; ++i) {
+    out[i] = {keys[order[i]], ValueAt(order[i])};
+  }
+  if ((pv & kPermBuilding) == 0 &&
+      pv_ref.compare_exchange_strong(pv, kPermBuilding, std::memory_order_acq_rel)) {
+    for (int i = 0; i < n; ++i) {
+      perm[i] = order[i];
+    }
+    pv_ref.store(lock.Validate(version) ? version : 0, std::memory_order_release);
   }
   return n;
 }

@@ -33,9 +33,11 @@
 //   the inline bytes and the arena offset of one encoding. A point hit reads
 //   the header line, then the slot record's line (key word and value) and,
 //   for arena-form keys only, one arena line: 2 lines for an integer key, 3
-//   for a long string suffix. The fingerprint array, bitmap-publish
-//   linearization, and 64-slot concurrency protocol are exactly the classic
-//   ones; only the slot bytes changed shape.
+//   for a long string suffix. A scan (SortedEntries) reads the header line,
+//   each slot line holding a live slot, and the arena below its cursor: at
+//   most 5 lines for an integer-key node, whose arena is empty. The
+//   fingerprint array, bitmap-publish linearization, and 64-slot concurrency
+//   protocol are exactly the classic ones; only the slot bytes changed shape.
 //
 // The first 256 bytes (metadata, anchor, fingerprints, permutation) are
 // byte-identical in both formats; a per-node format byte written at creation
@@ -46,6 +48,7 @@
 #define PACTREE_SRC_PACTREE_DATA_NODE_H_
 
 #include <cstdint>
+#include <utility>
 
 #include "src/common/key.h"
 #include "src/nvm/persist.h"
@@ -55,6 +58,10 @@
 namespace pactree {
 
 inline constexpr size_t kDataNodeEntries = 64;
+
+// perm_version bit held by the one reader rebuilding a node's permutation
+// array; never equal to a lock version, so no reader trusts the array then.
+inline constexpr uint64_t kPermBuilding = 1ULL << 63;
 
 // On-media slot layout of a data node. Persisted per node (one byte in the
 // header) and per tree (PacRoot); the tree-level knob only selects the format
@@ -124,9 +131,9 @@ struct DataNode {
   NodeFormat Format() const {
     return format_byte == 0 ? NodeFormat::kClassic : NodeFormat::kCompact;
   }
-  // On-media node size by format: what allocation, whole-node persists, and
-  // sequential-read annotation must use. sizeof(DataNode) stays the classic
-  // (max) size; a compact node simply never touches bytes past 2048.
+  // On-media node size by format: what allocation and whole-node persists
+  // must use. sizeof(DataNode) stays the classic (max) size; a compact node
+  // simply never touches bytes past 2048.
   static constexpr size_t NodeBytes(NodeFormat f) {
     return f == NodeFormat::kCompact ? 2048 : 3072;
   }
@@ -206,8 +213,16 @@ struct DataNode {
   void PublishBitmap(uint64_t new_bitmap);
 
   // Computes the sorted order of live slots into |out| (up to 64 entries);
-  // returns the count. Pure function of the current slot contents.
-  int ComputeSortedOrder(uint8_t* out) const;
+  // returns the count. Pure function of the current slot contents. |keys|,
+  // if given, receives each live slot's decoded key, indexed by slot.
+  int ComputeSortedOrder(uint8_t* out, Key* keys = nullptr) const;
+
+  // A range scan's read under token |version|: the live (key, value) pairs,
+  // in key order, into |out| (room for 64); returns the count. Annotates and
+  // decodes each live key once; orders via perm when perm_version ==
+  // |version| (§5.4), else sorts and publishes perm under kPermBuilding. The
+  // caller validates |version|.
+  int SortedEntries(uint64_t version, std::pair<Key, uint64_t>* out);
 
   // Software-prefetches everything a FindKey probe reads before the slot
   // compare (kProbeSpanBytes: the node's first XPLine). The batched read

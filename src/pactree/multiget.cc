@@ -190,7 +190,7 @@ size_t PacTree::MultiGet(std::span<const Key> keys, uint64_t* values,
 
 // Batched range scan with sibling-walk sharing. Independent Scan calls over
 // overlapping (or clustered) ranges each walk the same data nodes, paying a
-// lock acquisition, a whole-node media read, a sorted-order snapshot, and a
+// lock acquisition, a media read of its live extent, a sorted decode, and a
 // version validation PER RANGE per node. MultiScan sorts the starts and runs
 // ONE walk: each node is locked, snapshotted, and validated once, and every
 // range whose window covers that node consumes the same validated batch.
@@ -255,13 +255,7 @@ void PacTree::MultiScan(std::span<const Key> starts, std::span<const size_t> cou
     bool has_next;
     Key next_anchor;
     while (true) {
-      batch_n = 0;
-      AnnotateNvmRead(node, node->NodeBytes());  // sequential whole-node read
-      uint8_t sorder[kDataNodeEntries];
-      int cnt = SortedOrderSnapshot(node, version, sorder);
-      for (int i = 0; i < cnt && i < static_cast<int>(kDataNodeEntries); ++i) {
-        batch[batch_n++] = {node->KeyAt(sorder[i]), node->ValueAt(sorder[i])};
-      }
+      batch_n = static_cast<size_t>(node->SortedEntries(version, batch));
       next_raw = node->NextRaw();
       has_next = next_raw != 0;
       if (has_next) {

@@ -34,7 +34,6 @@ constexpr uint64_t kPacMagic = 0x3445455254434150ULL;              // "PACTREE4"
 // The search layer's leaves are the data nodes: a leaf's key is its anchor.
 constexpr int kTrieLeafKeyOffset = offsetof(DataNode, anchor);
 constexpr int kMergeThreshold = 24;  // merge when combined live keys fit easily
-constexpr uint64_t kPermBuilding = 1ULL << 63;
 
 // Updater-service count: explicit option, else PAC_UPDATERS, else one per
 // logical NUMA node (§4.3's per-NUMA replay sharding).
@@ -993,32 +992,6 @@ size_t PacTree::MergeStagedScan(const std::map<Key, AbsorbPending>& pending,
   return out->size();
 }
 
-int PacTree::SortedOrderSnapshot(DataNode* node, uint64_t version,
-                                 uint8_t* order) const {
-  // Permutation-array fast path (§5.4): reuse the cached sorted order when
-  // its version matches; otherwise rebuild and try to publish it. The
-  // kPermBuilding bit makes publishers mutually exclusive; the array is
-  // never persisted (selective persistence, §4.4). The caller validates
-  // |version| after consuming the order, as with any optimistic read.
-  uint64_t pv = std::atomic_ref<uint64_t>(node->perm_version)
-                    .load(std::memory_order_acquire);
-  if (pv == version) {
-    int n = node->CountLive();
-    std::memcpy(order, node->perm, kDataNodeEntries);
-    return n;
-  }
-  int n = node->ComputeSortedOrder(order);
-  if ((pv & kPermBuilding) == 0 &&
-      std::atomic_ref<uint64_t>(node->perm_version)
-          .compare_exchange_strong(pv, kPermBuilding, std::memory_order_acq_rel)) {
-    std::memcpy(node->perm, order, kDataNodeEntries);
-    std::atomic_ref<uint64_t>(node->perm_version)
-        .store(node->lock.Validate(version) ? version : 0,
-               std::memory_order_release);
-  }
-  return n;
-}
-
 size_t PacTree::ScanBase(const Key& start, size_t count,
                          std::vector<std::pair<Key, uint64_t>>* out) const {
   stat_epoch_enters_.fetch_add(1, std::memory_order_relaxed);
@@ -1030,19 +1003,14 @@ size_t PacTree::ScanBase(const Key& start, size_t count,
 
   std::pair<Key, uint64_t> batch[kDataNodeEntries];
   while (node != nullptr && out->size() < count) {
-    size_t batch_n;
+    size_t lo = 0;  // batch[lo, hi) holds this node's keys >= cursor
+    size_t hi = 0;
     uint64_t next_raw;
     while (true) {
-      batch_n = 0;
-      AnnotateNvmRead(node, node->NodeBytes());  // sequential whole-node read (GA5)
-      uint8_t order[kDataNodeEntries];
-      int n = SortedOrderSnapshot(node, version, order);
-      for (int i = 0; i < n && i < static_cast<int>(kDataNodeEntries); ++i) {
-        Key k = node->KeyAt(order[i]);
-        if (k < cursor) {
-          continue;
-        }
-        batch[batch_n++] = {k, node->ValueAt(order[i])};
+      hi = static_cast<size_t>(node->SortedEntries(version, batch));
+      lo = 0;
+      while (lo < hi && batch[lo].first < cursor) {
+        ++lo;
       }
       next_raw = node->NextRaw();
       if (node->lock.Validate(version)) {
@@ -1052,14 +1020,14 @@ size_t PacTree::ScanBase(const Key& start, size_t count,
       stat_retries_.fetch_add(1, std::memory_order_relaxed);
       node = FindDataNode(cursor, &version);
     }
-    if (next_raw != 0 && out->size() + batch_n < count) {
+    if (next_raw != 0 && out->size() + (hi - lo) < count) {
       // One node ahead, and only when the walk will go on: start the
       // sibling's metadata/anchor/fingerprint line fetching while this node's
-      // batch drains into |out|, so the sequential whole-node read above
-      // finds its first XPLine warm.
+      // batch drains into |out|, so the sibling's SortedEntries finds its
+      // header line warm.
       PPtr<DataNode>(next_raw).get()->PrefetchProbe();
     }
-    for (size_t i = 0; i < batch_n && out->size() < count; ++i) {
+    for (size_t i = lo; i < hi && out->size() < count; ++i) {
       out->push_back(batch[i]);
     }
     if (next_raw == 0) {

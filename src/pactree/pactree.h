@@ -319,12 +319,6 @@ class PacTree : private AbsorbSink, private ValueGcSink {
   size_t ScanBase(const Key& start, size_t count,
                   std::vector<std::pair<Key, uint64_t>>* out) const;
 
-  // Sorted live-slot order of |node| under read token |version|: the
-  // permutation-array fast path of §5.4 (reuse when the cached version
-  // matches, rebuild-and-publish otherwise). Returns the live count. Shared
-  // by ScanBase and the MultiScan merged walk.
-  int SortedOrderSnapshot(DataNode* node, uint64_t version, uint8_t* order) const;
-
   // Staged tombstones with key >= |start| (each can mask one base-scan key,
   // so scans over-fetch the data layer by this much).
   static size_t StagedTombstonesFrom(const std::map<Key, AbsorbPending>& pending,

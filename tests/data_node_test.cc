@@ -214,71 +214,220 @@ TEST_P(DataNodeTest, SiblingPointerStores) {
 
 // Oracle property test: a random churn of fills, republishes (updates), and
 // bitmap-clears (removes) against a std::map must stay observationally equal
-// through FindKey / KeyAt / ValueAt / ComputeSortedOrder, with periodic arena
-// compactions thrown in. String keys share long prefixes with the anchor, so
-// the compact format exercises real truncation (plen > 0).
+// through FindKey / KeyAt / ValueAt / ComputeSortedOrder / SortedEntries, with
+// periodic arena compactions thrown in. Three key shapes: string keys whose
+// 4-B suffix past the anchor sits whole in the key word, string keys with a
+// 21-B suffix (the arena fills, so compactions move live tails), and 8-B
+// integer keys sharing the anchor's first byte.
 TEST_P(DataNodeTest, RandomChurnMatchesMapOracle) {
-  Rng rng(42);
-  const Key anchor = Key::FromString("user/0000/");
-  ResetNode(anchor);
-  std::map<Key, uint64_t> oracle;
-  std::map<Key, int> slot_of;
-  uint64_t bitmap = 0;
-  for (int step = 0; step < 4000; ++step) {
-    const uint32_t op = static_cast<uint32_t>(rng.Uniform(10));
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "user/0000/%04u",
-                  static_cast<unsigned>(rng.Uniform(300)));
-    Key k = Key::FromString(buf);
-    if (op < 6) {  // upsert
-      if (bitmap == ~0ULL || !node_->SuffixRoomFor(k)) {
-        if (node_->CompactArenaLocked() == 0 || !node_->SuffixRoomFor(k)) {
-          continue;  // a real writer would split here
+  // A scan's decode must equal the sorted order plus KeyAt/ValueAt per slot,
+  // whether another reader is mid-rebuild of the permutation array (nothing
+  // is published), the array is stale (rebuilt and published) or valid
+  // (reused).
+  auto check_sorted_entries = [&] {
+    uint8_t order[kDataNodeEntries];
+    const int n = node_->ComputeSortedOrder(order);
+    const uint64_t version = node_->lock.ReadLock();
+    std::pair<Key, uint64_t> got[kDataNodeEntries];
+    auto expect_model = [&] {
+      ASSERT_EQ(node_->SortedEntries(version, got), n);
+      for (int i = 0; i < n; ++i) {
+        ASSERT_EQ(got[i].first, node_->KeyAt(order[i])) << i;
+        ASSERT_EQ(got[i].second, node_->ValueAt(order[i])) << i;
+      }
+    };
+    node_->perm_version = kPermBuilding;
+    expect_model();
+    ASSERT_EQ(node_->perm_version, kPermBuilding);
+    node_->perm_version = 0;
+    expect_model();
+    ASSERT_EQ(node_->perm_version, version);
+    expect_model();
+    // A stale-token publish after a bitmap change: a current reader publishes
+    // the new order, then a reader still holding |version| rebuilds over it.
+    // It must decode the current state and leave nothing published, so the
+    // next current reader gets the new order.
+    if (n > 0) {
+      const uint64_t old_bitmap = node_->Bitmap();
+      node_->lock.WriteLock();
+      node_->PublishBitmap(old_bitmap & ~(1ULL << order[0]));
+      node_->lock.WriteUnlock();
+      const uint64_t now = node_->lock.ReadLock();
+      ASSERT_EQ(node_->SortedEntries(now, got), n - 1);
+      ASSERT_EQ(node_->perm_version, now);
+      ASSERT_EQ(node_->SortedEntries(version, got), n - 1);
+      ASSERT_EQ(node_->perm_version, 0u);
+      ASSERT_EQ(node_->SortedEntries(now, got), n - 1);
+      for (int i = 1; i < n; ++i) {
+        ASSERT_EQ(got[i - 1].first, node_->KeyAt(order[i])) << i;
+        ASSERT_EQ(got[i - 1].second, node_->ValueAt(order[i])) << i;
+      }
+      node_->lock.WriteLock();
+      node_->PublishBitmap(old_bitmap);
+    } else {
+      node_->lock.WriteLock();
+    }
+    // A writer's lock release makes the published order stale.
+    node_->lock.WriteUnlock();
+  };
+  for (int shape = 0; shape < 3; ++shape) {
+    SCOPED_TRACE(shape);
+    Rng rng(42);
+    const Key anchor = shape == 2 ? Key::FromInt(0x5a10203040506071ULL)
+                                  : Key::FromString("user/0000/");
+    ResetNode(anchor);
+    auto key_of = [&](uint32_t u) {
+      if (shape == 2) {
+        return Key::FromInt(0x5a80000000000001ULL + (uint64_t{u} << 28) + u);
+      }
+      char buf[40];
+      std::snprintf(buf, sizeof(buf),
+                    shape == 0 ? "user/0000/%04u" : "user/0000/arena-tail-bytes-%04u",
+                    u);
+      return Key::FromString(buf);
+    };
+    std::map<Key, uint64_t> oracle;
+    std::map<Key, int> slot_of;
+    uint64_t bitmap = 0;
+    for (int step = 0; step < 4000; ++step) {
+      const uint32_t op = static_cast<uint32_t>(rng.Uniform(10));
+      Key k = key_of(static_cast<uint32_t>(rng.Uniform(300)));
+      if (op < 6) {  // upsert
+        if (bitmap == ~0ULL || !node_->SuffixRoomFor(k)) {
+          if (node_->CompactArenaLocked() == 0 || !node_->SuffixRoomFor(k)) {
+            continue;  // a real writer would split here
+          }
+        }
+        if (bitmap == ~0ULL) {
+          continue;
+        }
+        int free = __builtin_ctzll(~bitmap);
+        node_->FillSlot(free, k, k.Fingerprint(), rng.Next());
+        uint64_t bm = bitmap | (1ULL << free);
+        auto it = slot_of.find(k);
+        if (it != slot_of.end()) {
+          bm &= ~(1ULL << it->second);  // update protocol: both bits flip at once
+        }
+        node_->PublishBitmap(bm);
+        bitmap = bm;
+        oracle[k] = node_->ValueAt(free);
+        slot_of[k] = free;
+      } else if (op < 8) {  // remove
+        auto it = slot_of.find(k);
+        if (it == slot_of.end()) {
+          continue;
+        }
+        bitmap &= ~(1ULL << it->second);
+        node_->PublishBitmap(bitmap);
+        oracle.erase(k);
+        slot_of.erase(it);
+      } else {  // compaction at an arbitrary point must be invisible to readers
+        node_->CompactArenaLocked();
+      }
+      if (step % 97 == 0 || step == 3999) {
+        // Full oracle check.
+        ASSERT_EQ(static_cast<size_t>(node_->CountLive()), oracle.size());
+        for (const auto& [ok, ov] : oracle) {
+          int slot = node_->FindKey(ok, ok.Fingerprint());
+          ASSERT_GE(slot, 0) << ok.ToString();
+          ASSERT_EQ(node_->KeyAt(slot), ok);
+          ASSERT_EQ(node_->ValueAt(slot), ov);
+        }
+        uint8_t order[kDataNodeEntries];
+        int n = node_->ComputeSortedOrder(order);
+        ASSERT_EQ(static_cast<size_t>(n), oracle.size());
+        auto oit = oracle.begin();
+        for (int i = 0; i < n; ++i, ++oit) {
+          ASSERT_EQ(node_->KeyAt(order[i]), oit->first);
+        }
+        check_sorted_entries();
+        if (HasFatalFailure()) {
+          return;
         }
       }
-      if (bitmap == ~0ULL) {
-        continue;
-      }
-      int free = __builtin_ctzll(~bitmap);
-      node_->FillSlot(free, k, k.Fingerprint(), rng.Next());
-      uint64_t bm = bitmap | (1ULL << free);
-      auto it = slot_of.find(k);
-      if (it != slot_of.end()) {
-        bm &= ~(1ULL << it->second);  // update protocol: both bits flip at once
-      }
-      node_->PublishBitmap(bm);
-      bitmap = bm;
-      oracle[k] = node_->ValueAt(free);
-      slot_of[k] = free;
-    } else if (op < 8) {  // remove
-      auto it = slot_of.find(k);
-      if (it == slot_of.end()) {
-        continue;
-      }
-      bitmap &= ~(1ULL << it->second);
-      node_->PublishBitmap(bitmap);
-      oracle.erase(k);
-      slot_of.erase(it);
-    } else {  // compaction at an arbitrary point must be invisible to readers
-      node_->CompactArenaLocked();
     }
-    if (step % 97 == 0 || step == 3999) {
-      // Full oracle check.
-      ASSERT_EQ(static_cast<size_t>(node_->CountLive()), oracle.size());
-      for (const auto& [ok, ov] : oracle) {
-        int slot = node_->FindKey(ok, ok.Fingerprint());
-        ASSERT_GE(slot, 0) << ok.ToString();
-        ASSERT_EQ(node_->KeyAt(slot), ok);
-        ASSERT_EQ(node_->ValueAt(slot), ov);
-      }
-      uint8_t order[kDataNodeEntries];
-      int n = node_->ComputeSortedOrder(order);
-      ASSERT_EQ(static_cast<size_t>(n), oracle.size());
-      auto oit = oracle.begin();
-      for (int i = 0; i < n; ++i, ++oit) {
-        ASSERT_EQ(node_->KeyAt(order[i]), oit->first);
-      }
+    if (compact()) {
+      // The shapes cover both key-word forms: only the long suffixes use
+      // the arena.
+      EXPECT_EQ(node_->arena_cursor != 0, shape == 1);
     }
+  }
+}
+
+// The media cost of a cold scan of one node (SortedEntries), read off the
+// pool's counters: the header line, each slot line holding a live slot, and
+// the arena below its cursor -- and for a classic node, all 12 lines.
+TEST_P(DataNodeTest, ColdScanReadsLiveExtentOnly) {
+  const NvmThreadCounters& c = LocalNvmCounters(ToPPtr(node_).pool());
+  // Fills |slots| with |keys| and returns the XPLines a cold scan reads.
+  auto cold_scan_lines = [&](const Key& anchor, const std::vector<int>& slots,
+                             const std::vector<Key>& keys) -> uint64_t {
+    ResetNode(anchor);
+    uint64_t bitmap = 0;
+    for (size_t i = 0; i < slots.size(); ++i) {
+      EXPECT_TRUE(node_->SuffixRoomFor(keys[i]));
+      node_->FillSlot(slots[i], keys[i], keys[i].Fingerprint(), i);
+      bitmap |= 1ULL << slots[i];
+    }
+    node_->PublishBitmap(bitmap);
+    DropThreadReadCache();
+    const uint64_t misses = c.read_misses.load();
+    const uint64_t bytes = c.media_read_bytes.load();
+    std::pair<Key, uint64_t> got[kDataNodeEntries];
+    EXPECT_EQ(node_->SortedEntries(node_->lock.ReadLock(), got),
+              static_cast<int>(slots.size()));
+    std::vector<Key> sorted = keys;
+    std::sort(sorted.begin(), sorted.end());
+    for (size_t i = 0; i < sorted.size(); ++i) {
+      EXPECT_EQ(got[i].first, sorted[i]) << i;
+    }
+    const uint64_t lines = c.read_misses.load() - misses;
+    EXPECT_EQ(c.media_read_bytes.load() - bytes, lines * 256);
+    return lines;
+  };
+  // 8-B integer keys sharing only the anchor's first byte, live in slot
+  // lines 0, 1 and 3 (slots 0-15, 16-31, 48-63): header + 3 slot lines.
+  {
+    SCOPED_TRACE("int keys");
+    const std::vector<int> slots = {0, 5, 15, 16, 31, 48, 63};
+    std::vector<Key> keys;
+    for (int s : slots) {
+      keys.push_back(Key::FromInt(0x5a80000000000001ULL + (uint64_t(s) << 32)));
+    }
+    EXPECT_EQ(cold_scan_lines(Key::FromInt(0x5a10203040506071ULL), slots, keys),
+              compact() ? 4u : 12u);
+    if (compact()) {
+      EXPECT_EQ(node_->arena_cursor, 0);
+    }
+  }
+  // String keys with distinct 20-B suffixes past "node/" (16 arena bytes
+  // each): the header, the live slot lines, and ceil(cursor / 256) arena
+  // lines.
+  for (const auto& [nkeys, stride] : {std::pair{7, 9}, std::pair{20, 1},
+                                      std::pair{32, 2}, std::pair{48, 1}}) {
+    SCOPED_TRACE(testing::Message() << nkeys << " keys, slot stride " << stride);
+    std::vector<int> slots;
+    std::vector<Key> keys;
+    uint64_t live = 0;
+    for (int i = 0; i < nkeys; ++i) {
+      char buf[40];
+      std::snprintf(buf, sizeof(buf), "node/suffix-tailbytes-%03d", 997 - i);
+      slots.push_back(i * stride);
+      keys.push_back(Key::FromString(buf));
+      live |= 1ULL << (i * stride);
+    }
+    const uint64_t got = cold_scan_lines(Key::FromString("node/"), slots, keys);
+    if (!compact()) {
+      EXPECT_EQ(got, 12u);
+      continue;
+    }
+    uint64_t slot_lines = 0;
+    for (int l = 0; l < 4; ++l) {
+      slot_lines += (live >> (16 * l) & 0xffff) != 0;
+    }
+    EXPECT_EQ(node_->arena_cursor, nkeys * 16);
+    EXPECT_EQ(got, 1 + slot_lines + (node_->arena_cursor + 255) / 256);
+    EXPECT_LT(got, 8u);
   }
 }
 

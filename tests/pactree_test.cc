@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iterator>
 #include <map>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/random.h"
@@ -196,6 +198,44 @@ TEST_F(PacTreeTest, ScanMatchesSortedModel) {
       ASSERT_EQ(out[i].second, it->second);
     }
   }
+}
+
+// A cold scan over dense integer keys reads each data node's header line and
+// the slot lines that hold live slots, never the arena (every key word is
+// whole-inline): at most 5 of a compact node's 8 XPLines.
+TEST_F(PacTreeTest, ColdScanReadsLiveExtentOfEachNode) {
+  ASSERT_EQ(tree_->Stats().node_format, NodeFormat::kCompact);
+  constexpr uint64_t kKeys = 20000;
+  // Shuffled inserts spread each node's live slots over its slot lines.
+  std::vector<uint64_t> keys(kKeys);
+  for (uint64_t i = 0; i < kKeys; ++i) {
+    keys[i] = i;
+  }
+  Rng rng(8);
+  for (uint64_t i = kKeys - 1; i > 0; --i) {
+    std::swap(keys[i], keys[rng.Uniform(i + 1)]);
+  }
+  for (uint64_t k : keys) {
+    ASSERT_EQ(tree_->Insert(Key::FromInt(k), k), Status::kOk);
+  }
+  tree_->DrainSmoLogs();
+  const PmemHeap* data = tree_->data_heap();
+  auto data_read_bytes = [&] {
+    uint64_t b = 0;
+    for (uint32_t p = 0; p < data->pool_count(); ++p) {
+      b += LocalNvmCounters(data->pool(p)->pool_id()).media_read_bytes.load();
+    }
+    return b;
+  };
+  DropThreadReadCache();
+  const uint64_t locks = tree_->Stats().node_locks;
+  const uint64_t bytes = data_read_bytes();
+  std::vector<std::pair<Key, uint64_t>> out;
+  ASSERT_EQ(tree_->Scan(Key::Min(), kKeys, &out), kKeys);
+  const uint64_t nodes = tree_->Stats().node_locks - locks;
+  const uint64_t lines = (data_read_bytes() - bytes) / 256;
+  ASSERT_GT(nodes, kKeys / kDataNodeEntries);
+  EXPECT_LE(lines, 5 * nodes) << lines << " XPLines over " << nodes << " nodes";
 }
 
 TEST_F(PacTreeTest, MergeOnMassDelete) {
@@ -597,6 +637,69 @@ TEST_F(PacTreeTest, ConcurrentMixedOpsInvariants) {
     th.join();
   }
   EXPECT_FALSE(fail.load());
+  tree_->DrainSmoLogs();
+  std::string why;
+  EXPECT_TRUE(tree_->CheckInvariants(&why)) << why;
+}
+
+// A 29-B key whose bytes after the first few differ from any anchor's, and
+// whose arena tail (the suffix past its 4 head bytes) is distinct per key.
+Key LongSuffixKey(uint64_t i) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "s%05llu-long-string-tail-%05llu",
+                static_cast<unsigned long long>(i),
+                static_cast<unsigned long long>(i));
+  return Key::FromString(buf);
+}
+
+// Scanners over long-suffix string keys race writers whose inserts and
+// removes fill the nodes' arenas with dead tails, so inserts compact arenas
+// and split nodes under the scanners. Every scan must start at or after its
+// start key, be strictly ascending, and carry the value that names each key.
+TEST_F(PacTreeTest, ConcurrentStringScansRaceArenaCompactions) {
+  constexpr uint64_t kSpace = 6000;
+  for (uint64_t i = 0; i < kSpace; i += 2) {
+    ASSERT_EQ(tree_->Insert(LongSuffixKey(i), i), Status::kOk);
+  }
+  std::atomic<int> writers_left{2};
+  std::atomic<bool> fail{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(t + 300);
+      for (int i = 0; i < 15000; ++i) {
+        const uint64_t k = rng.Uniform(kSpace);
+        if (rng.Uniform(2) == 0) {
+          tree_->Insert(LongSuffixKey(k), k);
+        } else {
+          tree_->Remove(LongSuffixKey(k));
+        }
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(t + 400);
+      std::vector<std::pair<Key, uint64_t>> out;
+      while (writers_left.load() > 0) {
+        const Key start = LongSuffixKey(rng.Uniform(kSpace));
+        tree_->Scan(start, 40, &out);
+        for (size_t j = 0; j < out.size(); ++j) {
+          if (out[j].first < start || out[j].second >= kSpace ||
+              out[j].first != LongSuffixKey(out[j].second) ||
+              (j > 0 && !(out[j - 1].first < out[j].first))) {
+            fail.store(true);
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  EXPECT_FALSE(fail.load());
+  EXPECT_GT(tree_->Stats().arena_compactions, 0u);
   tree_->DrainSmoLogs();
   std::string why;
   EXPECT_TRUE(tree_->CheckInvariants(&why)) << why;
