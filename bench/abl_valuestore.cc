@@ -25,6 +25,7 @@
 #include "bench/bench_common.h"
 #include "src/common/clock.h"
 #include "src/common/random.h"
+#include "src/nvm/stats.h"
 #include "src/pactree/pactree.h"
 #include "src/runtime/workers.h"
 #include "src/workload/zipf.h"
@@ -39,6 +40,7 @@ struct PhaseResult {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t read_retries = 0;
+  double read_bytes_per_op = 0;  // media reads, every pool and thread
 };
 
 struct ModeResult {
@@ -116,9 +118,12 @@ int main(int argc, char** argv) {
       PhaseResult r;
       read_pass(scale.ops / threads / 4, seed_salt + 1, pick);  // warm
       PacTreeStats s0 = tree->Stats();
+      NvmStatsSnapshot n0 = GlobalNvmStats();
       double secs = read_pass(scale.ops / threads, seed_salt, pick);
       PacTreeStats s1 = tree->Stats();
       r.ops = scale.ops / threads * threads;
+      r.read_bytes_per_op = static_cast<double>((GlobalNvmStats() - n0).media_read_bytes) /
+                            static_cast<double>(r.ops);
       r.mops = static_cast<double>(r.ops) / 1e6 / secs;
       r.cache_hits = s1.value_cache.hits - s0.value_cache.hits;
       r.cache_misses = s1.value_cache.misses - s0.value_cache.misses;
@@ -138,15 +143,15 @@ int main(int argc, char** argv) {
     return res;
   };
 
-  std::printf("%-6s %-8s %8s %12s %12s %10s %13s\n", "phase", "mode", "Mops/s",
-              "cache_hits", "cache_miss", "hit_rate", "read_retries");
+  std::printf("%-6s %-8s %8s %12s %12s %10s %13s %10s\n", "phase", "mode", "Mops/s",
+              "cache_hits", "cache_miss", "hit_rate", "read_retries", "rd_B/op");
   auto print = [&](const char* phase, const char* mode, const PhaseResult& r) {
     double probes = static_cast<double>(r.cache_hits + r.cache_misses);
     double hit_rate = probes == 0 ? 0.0 : static_cast<double>(r.cache_hits) / probes;
-    std::printf("%-6s %-8s %8.3f %12llu %12llu %9.1f%% %13llu\n", phase, mode,
+    std::printf("%-6s %-8s %8.3f %12llu %12llu %9.1f%% %13llu %10.1f\n", phase, mode,
                 r.mops, static_cast<unsigned long long>(r.cache_hits),
                 static_cast<unsigned long long>(r.cache_misses), hit_rate * 100,
-                static_cast<unsigned long long>(r.read_retries));
+                static_cast<unsigned long long>(r.read_retries), r.read_bytes_per_op);
     std::fflush(stdout);
     BenchJsonAdd(JsonRow()
                      .Str("phase", phase)
@@ -159,7 +164,8 @@ int main(int argc, char** argv) {
                      .U64("cache_hits", r.cache_hits)
                      .U64("cache_misses", r.cache_misses)
                      .F64("hit_rate", hit_rate)
-                     .U64("read_retries", r.read_retries));
+                     .U64("read_retries", r.read_retries)
+                     .F64("read_bytes_per_op", r.read_bytes_per_op));
   };
 
   ModeResult uncached = run_mode(/*cached=*/false);

@@ -107,9 +107,18 @@ bool PacTree::Init(const PacTreeOptions& opts, Status* why) {
   // sealed (magic 0: a crash inside the fresh-index window below). A pool of
   // another layout is refused before any heap is attached -- an attach bumps
   // the pool's generation and recovery writes -- so its files stay untouched.
-  if (uint64_t magic = 0;
-      PmemHeap::PeekRootMagic(opts.name + ".data", &magic) && magic != 0 &&
-      magic != kPacMagic) {
+  uint64_t magic = 0;
+  const Status pool_layout = PmemHeap::PeekRoot(opts.name + ".data", &magic);
+  if (pool_layout == Status::kOldLayout) {
+    std::fprintf(stderr,
+                 "pactree: '%s' is in pool layout 1, the old layout whose 512-4096 B "
+                 "blocks sit on unshifted chunk grids; this build reads pool layout %u "
+                 "only. Refusing to open; files left untouched.\n",
+                 opts.name.c_str(), kPoolLayoutVersion);
+    *why = Status::kOldLayout;
+    return false;
+  }
+  if (pool_layout == Status::kOk && magic != 0 && magic != kPacMagic) {
     const bool old = magic == kPacMagicRecordLeaves || magic == kPacMagicSplitSlots ||
                      magic == kPacMagicHeadSlots;
     const char* layout =

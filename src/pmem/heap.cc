@@ -19,19 +19,29 @@ std::string PoolPath(const std::string& name, uint32_t node) {
 
 }  // namespace
 
-bool PmemHeap::PeekRootMagic(const std::string& name, uint64_t* magic) {
+Status PmemHeap::PeekRoot(const std::string& name, uint64_t* magic) {
   int fd = ::open(PoolPath(name, 0).c_str(), O_RDONLY);
   if (fd < 0) {
-    return false;
+    return Status::kNotFound;
   }
   uint64_t pool_magic = 0;
-  bool ok = ::pread(fd, &pool_magic, sizeof(pool_magic), offsetof(PoolHeader, magic)) ==
-                static_cast<ssize_t>(sizeof(pool_magic)) &&
-            pool_magic == kPoolMagic &&
-            ::pread(fd, magic, sizeof(*magic), offsetof(PoolHeader, root)) ==
-                static_cast<ssize_t>(sizeof(*magic));
+  uint32_t layout_version = 0;
+  Status st = Status::kNotFound;
+  if (::pread(fd, &pool_magic, sizeof(pool_magic), offsetof(PoolHeader, magic)) ==
+          static_cast<ssize_t>(sizeof(pool_magic)) &&
+      pool_magic == kPoolMagic &&
+      ::pread(fd, &layout_version, sizeof(layout_version),
+              offsetof(PoolHeader, layout_version)) ==
+          static_cast<ssize_t>(sizeof(layout_version))) {
+    st = CheckPoolLayout(layout_version);
+    if (st == Status::kOk &&
+        ::pread(fd, magic, sizeof(*magic), offsetof(PoolHeader, root)) !=
+            static_cast<ssize_t>(sizeof(*magic))) {
+      st = Status::kNotFound;
+    }
+  }
   ::close(fd);
-  return ok;
+  return st;
 }
 
 std::unique_ptr<PmemHeap> PmemHeap::OpenOrCreate(const std::string& name,

@@ -41,12 +41,13 @@ class PmemHeap {
   // Removes the heap's backing files.
   static void Destroy(const std::string& name);
 
-  // Reads the first word of heap |name|'s root area (where a root object
-  // keeps its magic) out of its node-0 pool file with a plain read: nothing
-  // is mapped, attached or written (an attach bumps the pool's generation).
-  // False when there is no such file or it does not start with a pool
-  // superblock.
-  static bool PeekRootMagic(const std::string& name, uint64_t* magic);
+  // Reads heap |name|'s node-0 pool superblock and the first word of its root
+  // area (where a root object keeps its magic) with a plain read: nothing is
+  // mapped, attached or written (an attach bumps the pool's generation).
+  // kNotFound when there is no such file or it does not start with a pool
+  // superblock; otherwise CheckPoolLayout's verdict on its layout version,
+  // with |magic| set when that is kOk.
+  static Status PeekRoot(const std::string& name, uint64_t* magic);
 
   // NUMA-local allocation. Falls back to other nodes' pools when local space
   // runs out.

@@ -20,17 +20,34 @@ namespace {
 inline std::atomic_ref<uint64_t> AtomicRef64(uint64_t* p) { return std::atomic_ref<uint64_t>(*p); }
 inline std::atomic_ref<uint32_t> AtomicRef32(uint32_t* p) { return std::atomic_ref<uint32_t>(*p); }
 
-// First-fit start word of a freshly assigned chunk (slab coloring, Bonwick
-// 1994): a Fibonacci hash of the chunk index scaled to the chunk's |words|
-// bitmap words. Every chunk spans the same 1 MiB of address bits, so without
-// a color the first blocks of every class's chunk map to the same sets of a
-// cache one chunk wide, and in a direct-mapped one (the NVM model's read
-// cache) the first node of one class evicts the first node of another. A
-// pure function of the chunk index: placement repeats run to run, and
-// nothing on media records it.
-inline uint32_t ChunkColor(uint32_t chunk, uint32_t words) {
-  uint32_t h = chunk * 0x9E3779B9u;
-  return static_cast<uint32_t>((uint64_t{h} * words) >> 32);
+// Where a size-class chunk puts its blocks: slab coloring (Bonwick 1994).
+// Every chunk spans the same 1 MiB of address bits, so without a color block k
+// of every chunk maps to the same sets of a cache one chunk wide, and in a
+// direct-mapped one (the NVM model's read cache) the first node of one class
+// evicts the first node of another and the header lines of every 2 KiB node
+// share one eighth of the sets. Two placements answer that:
+//  - grid_shift: a 512-4096 B class's blocks start (chunk mod XPLines per
+//    block) whole XPLines past the chunk start. A chunk holds
+//    (1 MiB - grid_shift) / block_size blocks, at most one fewer than unshifted
+//    (1/512 of a chunk of 2 KiB blocks). Line k of block b in chunk c lands on a
+//    different set than in chunk c+1.
+//  - start_word: a fresh chunk's first-fit start, a Fibonacci hash of the chunk
+//    index scaled to its bitmap words, so the first blocks of the classes'
+//    chunks do not all sit at the chunk start.
+// A pure function of the chunk index and block size: placement repeats run to
+// run, and Open recomputes it (the shift is part of layout version 2).
+struct ChunkGeometry {
+  uint64_t grid_shift;
+  uint32_t blocks;
+  uint32_t start_word;
+};
+
+inline ChunkGeometry ChunkColor(uint32_t chunk, size_t block_size) {
+  const size_t lines = block_size / kXpLineSize;
+  const uint64_t shift = lines >= 2 && lines <= 16 ? (chunk % lines) * kXpLineSize : 0;
+  const auto blocks = static_cast<uint32_t>((kChunkSize - shift) / block_size);
+  const uint32_t h = chunk * 0x9E3779B9u;
+  return {shift, blocks, static_cast<uint32_t>((uint64_t{h} * ((blocks + 63) / 64)) >> 32)};
 }
 
 }  // namespace
@@ -122,7 +139,12 @@ Status PmemPool::Open(const std::string& path, uint16_t pool_id, uint32_t node,
   Status st = pool->ValidateHeader(pool_id);
   if (st != Status::kOk) {
     if (error != nullptr) {
-      *error = path + ": superblock validation failed (bad magic, pool id, or layout)";
+      *error = st == Status::kOldLayout
+                   ? path + ": pool layout version " +
+                         std::to_string(pool->header()->layout_version) +
+                         " puts blocks on unshifted chunk grids; this build reads layout " +
+                         std::to_string(kPoolLayoutVersion) + " (pool left untouched)"
+                   : path + ": superblock validation failed (bad magic, pool id, or layout)";
     }
     return st;
   }
@@ -146,7 +168,10 @@ Status PmemPool::ValidateHeader(uint16_t pool_id) const {
   if (h->magic != kPoolMagic) {
     return Status::kCorrupted;
   }
-  if (h->layout_version != 1 || h->pool_id != pool_id) {
+  if (Status st = CheckPoolLayout(h->layout_version); st != Status::kOk) {
+    return st;
+  }
+  if (h->pool_id != pool_id) {
     return Status::kCorrupted;
   }
   if (h->size < sizeof(PoolHeader) || h->size > size_) {
@@ -192,7 +217,7 @@ bool PmemPool::InitNew(uint16_t pool_id, uint32_t node, size_t size) {
 
   PoolHeader* h = header();
   std::memset(h, 0, sizeof(PoolHeader));
-  h->layout_version = 1;
+  h->layout_version = kPoolLayoutVersion;
   h->pool_id = pool_id;
   h->node = static_cast<uint16_t>(node);
   h->size = size;
@@ -261,6 +286,21 @@ uint64_t PmemPool::ChunkDataOffset(uint32_t chunk) const {
   return header()->data_off + static_cast<uint64_t>(chunk) * kChunkSize;
 }
 
+uint32_t PmemPool::ChunkOf(uint64_t offset) const {
+  return static_cast<uint32_t>((offset - header()->data_off) / kChunkSize);
+}
+
+uint64_t PmemPool::BlockOffset(uint32_t chunk, size_t block_size, uint32_t block_idx) const {
+  return ChunkDataOffset(chunk) + ChunkColor(chunk, block_size).grid_shift +
+         uint64_t{block_idx} * block_size;
+}
+
+uint32_t PmemPool::BlockIndex(uint32_t chunk, size_t block_size, uint64_t offset) const {
+  return static_cast<uint32_t>(
+      (offset - ChunkDataOffset(chunk) - ChunkColor(chunk, block_size).grid_shift) /
+      block_size);
+}
+
 // ---------------------------------------------------------------------------
 // Volatile state reconstruction & log recovery
 // ---------------------------------------------------------------------------
@@ -290,7 +330,7 @@ void PmemPool::RebuildVolatileState() {
       continue;
     }
     size_t class_idx = st - 1;
-    uint32_t blocks = static_cast<uint32_t>(kChunkSize / kSizeClasses[class_idx]);
+    uint32_t blocks = ChunkColor(i, kSizeClasses[class_idx]).blocks;
     uint64_t* bm = BitmapOf(i);
     uint32_t used = 0;
     for (uint32_t w = 0; w < (blocks + 63) / 64; ++w) {
@@ -392,7 +432,7 @@ void PmemPool::ReleaseLogSlot(int slot) {
 
 uint64_t PmemPool::TryAllocInChunk(uint32_t chunk, size_t class_idx, bool persist_meta) {
   size_t block_size = kSizeClasses[class_idx];
-  uint32_t blocks = static_cast<uint32_t>(kChunkSize / block_size);
+  uint32_t blocks = ChunkColor(chunk, block_size).blocks;
   uint32_t words = (blocks + 63) / 64;
   uint64_t* bm = BitmapOf(chunk);
   uint32_t start_word = classes_[class_idx].hint.load(std::memory_order_relaxed) % words;
@@ -415,8 +455,7 @@ uint64_t PmemPool::TryAllocInChunk(uint32_t chunk, size_t class_idx, bool persis
         }
         classes_[class_idx].hint.store(w, std::memory_order_relaxed);
         free_counts_[chunk].fetch_sub(1, std::memory_order_relaxed);
-        uint32_t block_idx = w * 64 + static_cast<uint32_t>(bit);
-        return ChunkDataOffset(chunk) + static_cast<uint64_t>(block_idx) * block_size;
+        return BlockOffset(chunk, block_size, w * 64 + static_cast<uint32_t>(bit));
       }
       // CAS failed: cur reloaded, retry this word.
     }
@@ -455,11 +494,11 @@ int PmemPool::AcquireChunk(size_t class_idx) {
   if (crash_consistent_) {
     PersistFence(&states[c], sizeof(uint32_t));
   }
-  uint32_t blocks = static_cast<uint32_t>(kChunkSize / kSizeClasses[class_idx]);
-  free_counts_[c].store(blocks, std::memory_order_relaxed);
+  const ChunkGeometry geo = ChunkColor(c, kSizeClasses[class_idx]);
+  free_counts_[c].store(geo.blocks, std::memory_order_relaxed);
   // The cursor is set before |current| is published (release), so an
   // allocator that acquires the new |current| starts from its color.
-  cs.hint.store(ChunkColor(c, (blocks + 63) / 64), std::memory_order_relaxed);
+  cs.hint.store(geo.start_word, std::memory_order_relaxed);
   cs.current.store(c, std::memory_order_release);
   return static_cast<int>(c);
 }
@@ -566,8 +605,7 @@ void PmemPool::PersistBlockMetadata(uint64_t offset) {
   if (!crash_consistent_) {
     return;
   }
-  PoolHeader* h = header();
-  uint32_t chunk = static_cast<uint32_t>((offset - h->data_off) / kChunkSize);
+  uint32_t chunk = ChunkOf(offset);
   uint32_t st = ChunkStates()[chunk];
   uint64_t* bm = BitmapOf(chunk);
   if (st == kChunkStateWhole) {
@@ -575,9 +613,7 @@ void PmemPool::PersistBlockMetadata(uint64_t offset) {
     PersistRange(bm, 2 * sizeof(uint64_t));
     PersistFence(ChunkStates() + chunk, span * sizeof(uint32_t));
   } else if (st >= 1 && st <= kNumClasses) {
-    size_t block_size = kSizeClasses[st - 1];
-    uint32_t block_idx = static_cast<uint32_t>(
-        (offset - h->data_off - uint64_t{chunk} * kChunkSize) / block_size);
+    uint32_t block_idx = BlockIndex(chunk, kSizeClasses[st - 1], offset);
     PersistFence(&bm[block_idx / 64], sizeof(uint64_t));
   }
 }
@@ -646,7 +682,7 @@ size_t PmemPool::BlockSize(uint64_t offset) const {
   if (offset < h->data_off) {
     return 0;
   }
-  uint32_t chunk = static_cast<uint32_t>((offset - h->data_off) / kChunkSize);
+  uint32_t chunk = ChunkOf(offset);
   uint32_t st = ChunkStates()[chunk];
   if (st == kChunkStateWhole) {
     return BitmapOf(chunk)[1] * kChunkSize;
@@ -662,7 +698,7 @@ void PmemPool::FreeInternal(uint64_t offset, bool log) {
   if (offset < h->data_off || offset >= h->data_off + uint64_t{h->chunk_count} * kChunkSize) {
     return;
   }
-  uint32_t chunk = static_cast<uint32_t>((offset - h->data_off) / kChunkSize);
+  uint32_t chunk = ChunkOf(offset);
   uint32_t* states = ChunkStates();
   uint32_t st = states[chunk];
   if (st == kChunkStateFree) {
@@ -701,9 +737,7 @@ void PmemPool::FreeInternal(uint64_t offset, bool log) {
   } else if (st <= kNumClasses && st > 0) {
     size_t class_idx = st - 1;
     size_t block_size = kSizeClasses[class_idx];
-    uint32_t block_idx =
-        static_cast<uint32_t>((offset - h->data_off - uint64_t{chunk} * kChunkSize) /
-                              block_size);
+    uint32_t block_idx = BlockIndex(chunk, block_size, offset);
     uint64_t* bm = BitmapOf(chunk);
     uint32_t w = block_idx / 64;
     uint64_t mask = 1ULL << (block_idx % 64);
@@ -720,7 +754,7 @@ void PmemPool::FreeInternal(uint64_t offset, bool log) {
         std::lock_guard<std::mutex> lock(mu_);
         classes_[class_idx].partial.push_back(chunk);
       }
-      if (now == static_cast<uint32_t>(kChunkSize / block_size)) {
+      if (now == ChunkColor(chunk, block_size).blocks) {
         TryReleaseEmptyChunk(chunk, class_idx);
       }
     }
@@ -736,7 +770,7 @@ void PmemPool::FreeInternal(uint64_t offset, bool log) {
 }
 
 void PmemPool::TryReleaseEmptyChunk(uint32_t chunk, size_t class_idx) {
-  uint32_t blocks = static_cast<uint32_t>(kChunkSize / kSizeClasses[class_idx]);
+  uint32_t blocks = ChunkColor(chunk, kSizeClasses[class_idx]).blocks;
   uint32_t words = (blocks + 63) / 64;
   std::lock_guard<std::mutex> lock(mu_);
   ClassState& cs = classes_[class_idx];

@@ -26,6 +26,20 @@
 namespace pactree {
 
 inline constexpr uint64_t kPoolMagic = 0x314c4f4f50434150ULL;  // "PACPOOL1"
+// On-media layout of the pool body. Version 2 shifts the block grid of every
+// 512-4096 B size-class chunk by whole XPLines (its chunk color); version 1
+// pools put every block on its chunk's unshifted grid and are refused.
+inline constexpr uint32_t kPoolLayoutVersion = 2;
+
+// kOk for this build's layout version, kOldLayout for an older one it refuses
+// (the pool is left as is), kCorrupted for any other value.
+inline Status CheckPoolLayout(uint32_t layout_version) {
+  if (layout_version == kPoolLayoutVersion) {
+    return Status::kOk;
+  }
+  return layout_version == 1 ? Status::kOldLayout : Status::kCorrupted;
+}
+
 inline constexpr size_t kChunkSize = 1ULL << 20;
 inline constexpr size_t kRootAreaSize = 32768;
 inline constexpr size_t kLogSlots = 2048;
@@ -207,6 +221,11 @@ class PmemPool {
   uint32_t* ChunkStates() const;
   uint64_t* BitmapOf(uint32_t chunk) const;
   uint64_t ChunkDataOffset(uint32_t chunk) const;
+  uint32_t ChunkOf(uint64_t offset) const;
+  // The one conversion pair between a size-class chunk's block indices and
+  // pool offsets; both apply the chunk's grid shift.
+  uint64_t BlockOffset(uint32_t chunk, size_t block_size, uint32_t block_idx) const;
+  uint32_t BlockIndex(uint32_t chunk, size_t block_size, uint64_t offset) const;
   int AcquireLogSlot();
   void ReleaseLogSlot(int slot);
 

@@ -4,15 +4,18 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <set>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "src/common/compiler.h"
 #include "src/common/random.h"
 #include "src/nvm/config.h"
 #include "src/nvm/persist.h"
@@ -238,6 +241,58 @@ TEST_F(PacTreeTest, ColdScanReadsLiveExtentOfEachNode) {
   EXPECT_LE(lines, 5 * nodes) << lines << " XPLines over " << nodes << " nodes";
 }
 
+// Block-grid coloring seen from the tree: 2 KiB data nodes drawn from eight
+// or more chunks put their header lines on all 8 XPLine residues mod 2 KiB
+// (on unshifted grids every header sits on residue 0, one eighth of the
+// modeled read cache's sets). So a hot set of nodes at the same block index
+// in different chunks stays cached: its second pass misses far less.
+TEST_F(PacTreeTest, DataNodeHeadersSpreadOverTheReadCache) {
+  // Sequential keys leave half-full nodes: ~32 keys each, 511 per chunk, so
+  // 150k keys fill about nine chunks.
+  constexpr uint64_t kKeys = 150000;
+  for (uint64_t i = 0; i < kKeys; ++i) {
+    ASSERT_EQ(tree_->Insert(Key::FromInt(i), i), Status::kOk);
+  }
+  tree_->DrainSmoLogs();
+  std::vector<std::pair<Key, uintptr_t>> nodes;  // anchor, node address
+  tree_->search_layer()->ForEach([&](const Key& anchor, uint64_t raw) {
+    nodes.emplace_back(anchor, reinterpret_cast<uintptr_t>(PPtr<void>(raw).get()));
+  });
+  ASSERT_GT(nodes.size(), 8u * 511);
+  std::set<uintptr_t> residues;
+  for (const auto& node : nodes) {
+    residues.insert(node.second / kXpLineSize % 8);
+  }
+  EXPECT_EQ(residues.size(), 8u) << "data node headers use only part of the cache's sets";
+
+  // Hot set: every 16th node, a few hundred keys from distinct nodes.
+  std::vector<Key> hot;
+  for (size_t i = 1; i < nodes.size(); i += 16) {
+    hot.push_back(nodes[i].first);
+  }
+  const PmemHeap* data = tree_->data_heap();
+  auto data_misses = [&] {
+    uint64_t n = 0;
+    for (uint32_t p = 0; p < data->pool_count(); ++p) {
+      n += LocalNvmCounters(data->pool(p)->pool_id()).read_misses.load();
+    }
+    return n;
+  };
+  DropThreadReadCache();
+  for (const Key& k : hot) {
+    ASSERT_EQ(tree_->Lookup(k, nullptr), Status::kOk);
+  }
+  const uint64_t warm = data_misses();
+  for (const Key& k : hot) {
+    ASSERT_EQ(tree_->Lookup(k, nullptr), Status::kOk);
+  }
+  const double per_lookup =
+      static_cast<double>(data_misses() - warm) / static_cast<double>(hot.size());
+  // Unshifted grids miss on both data lines of every hot lookup (2.0); the
+  // shifted ones about 0.6.
+  EXPECT_LE(per_lookup, 1.0) << hot.size() << " hot nodes";
+}
+
 TEST_F(PacTreeTest, MergeOnMassDelete) {
   constexpr uint64_t kN = 50000;
   for (uint64_t i = 0; i < kN; ++i) {
@@ -444,7 +499,9 @@ TEST_F(PacTreeTest, RefusesOtherLayoutPoolsAndLeavesFilesUntouched) {
   // as data nodes, "PACTREE2" compact nodes keep values, descriptors and
   // suffixes where this build's 16-B slot records are, "PACTREE3" records
   // hold a 4-B descriptor and 4 head bytes where this build reads one key
-  // word, and an unknown magic is a corrupt root, not a fresh pool.
+  // word, and an unknown magic is a corrupt root, not a fresh pool. A pool of
+  // layout version 1 put its data nodes on unshifted chunk grids, where this
+  // build would look for them one shift too far.
   PacTreeOptions o = opts_;
   o.name = "pt_layout";
   o.pool_size = 16 << 20;
@@ -458,13 +515,19 @@ TEST_F(PacTreeTest, RefusesOtherLayoutPoolsAndLeavesFilesUntouched) {
     }
   }
   EpochManager::Instance().DrainAll();
-  const std::pair<uint64_t, Status> roots[] = {
-      {0x3145455254434150ULL, Status::kOldLayout},  // "PACTREE1"
-      {0x3245455254434150ULL, Status::kOldLayout},  // "PACTREE2"
-      {0x3345455254434150ULL, Status::kOldLayout},  // "PACTREE3"
-      {0x0123456789abcdefULL, Status::kCorrupted},
+  struct Row {
+    uint32_t pool_layout;
+    uint64_t magic;
+    Status want;
   };
-  for (const auto& [magic, want] : roots) {
+  const Row rows[] = {
+      {kPoolLayoutVersion, 0x3145455254434150ULL, Status::kOldLayout},  // "PACTREE1"
+      {kPoolLayoutVersion, 0x3245455254434150ULL, Status::kOldLayout},  // "PACTREE2"
+      {kPoolLayoutVersion, 0x3345455254434150ULL, Status::kOldLayout},  // "PACTREE3"
+      {kPoolLayoutVersion, 0x0123456789abcdefULL, Status::kCorrupted},
+      {1, 0x3445455254434150ULL, Status::kOldLayout},  // "PACTREE4" root, layout 1
+  };
+  for (const auto& [pool_layout, magic, want] : rows) {
     {
       PmemHeapOptions h;
       h.pool_size = o.pool_size;
@@ -475,6 +538,15 @@ TEST_F(PacTreeTest, RefusesOtherLayoutPoolsAndLeavesFilesUntouched) {
       uint64_t* root_magic = data->Root<uint64_t>();  // PacRoot's first word
       *root_magic = magic;
       PersistFence(root_magic, sizeof(uint64_t));
+    }
+    if (pool_layout != kPoolLayoutVersion) {
+      for (const char* heap : {".search", ".data", ".log"}) {
+        std::fstream f(NvmConfig::DefaultPoolDir() + "/" + o.name + heap + ".0.pool",
+                       std::ios::in | std::ios::out | std::ios::binary);
+        ASSERT_TRUE(f.is_open()) << heap;
+        f.seekp(offsetof(PoolHeader, layout_version));
+        f.write(reinterpret_cast<const char*>(&pool_layout), sizeof(pool_layout));
+      }
     }
     std::vector<std::string> before = ReadPoolFiles(o.name);
     Status st = Status::kOk;

@@ -1,15 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "src/common/compiler.h"
 #include "src/common/random.h"
 #include "src/nvm/config.h"
 #include "src/nvm/persist.h"
+#include "src/nvm/shadow.h"
 #include "src/nvm/stats.h"
 #include "src/nvm/topology.h"
 #include "src/pmem/heap.h"
@@ -21,6 +26,11 @@ namespace {
 
 std::string TestPath(const std::string& name) {
   return NvmConfig::DefaultPoolDir() + "/" + name;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
 }
 
 class PmemTest : public ::testing::Test {
@@ -464,6 +474,212 @@ TEST_F(PmemTest, OpenRejectsCorruptPoolFiles) {
   }
   EXPECT_EQ(PmemPool::Open(path, 17, 0, opts, &out), Status::kCorrupted);
   NvmPoolFile::Remove(path);
+  // Another layout version: version 1 (blocks on unshifted chunk grids) is an
+  // old layout, refused with every byte left as is; any other is corrupt.
+  const std::pair<uint32_t, Status> layouts[] = {{1, Status::kOldLayout},
+                                                 {3, Status::kCorrupted}};
+  for (const auto& [version, want] : layouts) {
+    {
+      auto pool = PmemPool::Create(path, 17, 0, opts);
+      ASSERT_NE(pool, nullptr);
+      ASSERT_FALSE(pool->Alloc(2048).IsNull());
+    }
+    {
+      std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+      ASSERT_TRUE(f.is_open());
+      f.seekp(offsetof(PoolHeader, layout_version));
+      f.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    }
+    const std::string before = ReadFile(path);
+    EXPECT_EQ(PmemPool::Open(path, 17, 0, opts, &out), want) << "layout " << version;
+    EXPECT_EQ(out, nullptr);
+    EXPECT_TRUE(ReadFile(path) == before) << "a refused open wrote to layout " << version;
+    NvmPoolFile::Remove(path);
+  }
+}
+
+// Allocates |size|-B blocks until the pool is exhausted; returns the offsets
+// in allocation order.
+std::vector<uint64_t> AllocAll(PmemPool* pool, size_t size) {
+  std::vector<uint64_t> offs;
+  for (PPtr<void> p = pool->Alloc(size); !p.IsNull(); p = pool->Alloc(size)) {
+    offs.push_back(p.offset());
+  }
+  return offs;
+}
+
+// Offsets grouped by chunk, ascending within each chunk.
+std::map<uint64_t, std::vector<uint64_t>> ByChunk(const PmemPool& pool,
+                                                  const std::vector<uint64_t>& offs) {
+  std::map<uint64_t, std::vector<uint64_t>> chunks;
+  for (uint64_t off : offs) {
+    chunks[(off - pool.header()->data_off) / kChunkSize].push_back(off);
+  }
+  for (auto& [c, v] : chunks) {
+    std::sort(v.begin(), v.end());
+  }
+  return chunks;
+}
+
+uint64_t ChunkStart(const PmemPool& pool, uint64_t chunk) {
+  return pool.header()->data_off + chunk * kChunkSize;
+}
+
+// Block-grid coloring: each 512-4096 B chunk starts its blocks a whole number
+// of XPLines (less than one block) past the chunk start, holds exactly the
+// blocks that fit after that shift, and none crosses the chunk end. Over a
+// dozen chunks the 2 KiB blocks' first lines take every XPLine residue mod
+// 2 KiB, so node headers spread over the whole modeled read cache.
+TEST_F(PmemTest, ShiftedChunkGridsHandOutExactlyTheirBlocks) {
+  std::string path = TestPath("pmem_grid.pool");
+  PmemPoolOptions opts;
+  opts.size = 16 << 20;
+  for (size_t cls : {512, 768, 1024, 1536, 2048, 3072, 4096}) {
+    auto pool = PmemPool::Create(path, 21, 0, opts);
+    ASSERT_NE(pool, nullptr);
+    const auto chunks = ByChunk(*pool, AllocAll(pool.get(), cls));
+    ASSERT_GE(chunks.size(), 9u);
+    size_t shifted = 0;
+    std::set<uint64_t> residues;  // of each chunk's first block, mod 2 KiB
+    for (const auto& [c, offs] : chunks) {
+      const uint64_t start = ChunkStart(*pool, c);
+      const uint64_t shift = offs.front() - start;
+      EXPECT_EQ(shift % kXpLineSize, 0u) << cls << "-B chunk " << c;
+      EXPECT_LT(shift, cls) << cls << "-B chunk " << c;
+      EXPECT_EQ(offs.size(), (kChunkSize - shift) / cls) << cls << "-B chunk " << c;
+      EXPECT_LE(offs.back() + cls, start + kChunkSize) << cls << "-B chunk " << c;
+      for (size_t i = 0; i < offs.size(); ++i) {
+        ASSERT_EQ(offs[i], start + shift + i * cls) << cls << "-B chunk " << c;
+      }
+      shifted += shift != 0 ? 1 : 0;
+      residues.insert(offs.front() % 2048 / kXpLineSize);
+    }
+    EXPECT_GT(shifted, 0u) << cls << "-B chunks all start on the chunk start";
+    if (cls == 2048) {
+      EXPECT_EQ(residues.size(), 8u) << "2 KiB blocks leave XPLine residues mod 2 KiB unused";
+    }
+    pool.reset();
+    NvmPoolFile::Remove(path);
+  }
+}
+
+// Free counts come back from the bitmaps with each chunk's shifted block
+// count: after a reopen the freed blocks (and only those) are found again,
+// freeing the rest empties every chunk back to the free list, and a reopen of
+// the empty pool hands out the same grid.
+TEST_F(PmemTest, RebuildRestoresShiftedChunkFreeCounts) {
+  std::string path = TestPath("pmem_grid_rebuild.pool");
+  PmemPoolOptions opts;
+  opts.size = 16 << 20;
+  std::vector<uint64_t> all;
+  std::set<uint64_t> freed;
+  {
+    auto pool = PmemPool::Create(path, 22, 0, opts);
+    ASSERT_NE(pool, nullptr);
+    all = AllocAll(pool.get(), 2048);
+    size_t shifted = 0;
+    for (const auto& [c, offs] : ByChunk(*pool, all)) {
+      shifted += offs.front() != ChunkStart(*pool, c) ? 1 : 0;
+    }
+    ASSERT_GT(shifted, 0u);
+    for (size_t i = 0; i < all.size(); i += 2) {
+      pool->Free(all[i]);
+      freed.insert(all[i]);
+    }
+  }
+  std::unique_ptr<PmemPool> pool;
+  ASSERT_EQ(PmemPool::Open(path, 22, 0, opts, &pool), Status::kOk);
+  EXPECT_EQ(pool->UsedFraction(), 1.0);
+  std::vector<uint64_t> again = AllocAll(pool.get(), 2048);
+  EXPECT_EQ(std::set<uint64_t>(again.begin(), again.end()), freed);
+  for (uint64_t off : all) {
+    pool->Free(off);
+  }
+  // Every chunk but the class's current one went back to the free list.
+  EXPECT_LE(pool->UsedFraction(), 1.0 / pool->header()->chunk_count + 1e-9);
+  pool.reset();
+  ASSERT_EQ(PmemPool::Open(path, 22, 0, opts, &pool), Status::kOk);
+  EXPECT_EQ(pool->UsedFraction(), 0.0);
+  EXPECT_EQ(AllocAll(pool.get(), 2048), all);
+  pool.reset();
+  NvmPoolFile::Remove(path);
+}
+
+// Malloc-to recovery marks and frees exactly the logged block in a shifted
+// chunk as in an unshifted one, under strict ADR: a completed AllocTo keeps
+// its block and its attachment, one that crashed before attach gives back its
+// block and no neighbour. The attached block is the first of the second cache
+// line of its chunk's bitmap, where an index one block low would persist the
+// wrong line.
+TEST_F(PmemTest, AllocToRecoveryIsExactInShiftedChunks) {
+  std::string path = TestPath("pmem_grid_recover.pool");
+  PmemPoolOptions opts;
+  opts.size = 16 << 20;
+  for (bool want_shift : {false, true}) {
+    uint64_t attached_off = 0;
+    uint64_t interrupted_off = 0;
+    {
+      auto pool = PmemPool::Create(path, 23, 0, opts);
+      ASSERT_NE(pool, nullptr);
+      uint64_t x = 0;
+      uint64_t y = 0;
+      for (const auto& [c, offs] : ByChunk(*pool, AllocAll(pool.get(), 1024))) {
+        if ((offs.front() != ChunkStart(*pool, c)) == want_shift) {
+          x = offs[512];
+          y = offs[64];
+          break;
+        }
+      }
+      ASSERT_NE(x, 0u) << (want_shift ? "no shifted chunk" : "no unshifted chunk");
+      pool->Free(x);
+      pool->Free(y);
+      ShadowHeap::Enable(pool->base(), pool->size());
+      auto* root = static_cast<uint64_t*>(pool->RootArea());
+      root[0] = 0;
+      root[1] = 0;
+      PersistFence(root, 2 * sizeof(uint64_t));
+      // First-fit: the plain Alloc takes y, the lower free block, then AllocTo
+      // takes x; nothing after it persists x's bitmap line.
+      PPtr<void> interrupted = pool->Alloc(1024);
+      ASSERT_FALSE(interrupted.IsNull());
+      PPtr<void> attached = pool->AllocTo(ToPPtr(&root[0]), 1024);
+      ASSERT_FALSE(attached.IsNull());
+      attached_off = attached.offset();
+      interrupted_off = interrupted.offset();
+      ASSERT_EQ(attached_off, x);
+      ASSERT_EQ(interrupted_off, y);
+      // Crash with both entries pending: the first after attach, the second
+      // before it.
+      auto* logs = reinterpret_cast<AllocLogSlot*>(static_cast<char*>(pool->base()) +
+                                                   pool->header()->log_off);
+      const std::pair<uint64_t*, PPtr<void>> pending[] = {{&root[0], attached},
+                                                          {&root[1], interrupted}};
+      for (size_t i = 0; i < 2; ++i) {
+        logs[i].dest = ToPPtr(pending[i].first).raw;
+        logs[i].block = pending[i].second.raw;
+        logs[i].size = 1024;
+        logs[i].state = kLogAllocPending;
+        logs[i].checksum = AllocSlotChecksum(logs[i]);
+        PersistFence(&logs[i], sizeof(AllocLogSlot));
+      }
+      std::vector<uint8_t> image = ShadowHeap::Capture(CrashMode::kStrict);
+      ShadowHeap::Disable();
+      pool.reset();
+      std::ofstream(path, std::ios::binary | std::ios::trunc)
+          .write(reinterpret_cast<const char*>(image.data()),
+                 static_cast<std::streamsize>(image.size()));
+    }
+    std::unique_ptr<PmemPool> pool;
+    ASSERT_EQ(PmemPool::Open(path, 23, 0, opts, &pool), Status::kOk);
+    EXPECT_EQ(pool->PendingLogEntries(), 0u);
+    const auto* root = static_cast<const uint64_t*>(pool->RootArea());
+    EXPECT_EQ(PPtr<void>(root[0]).offset(), attached_off);
+    EXPECT_EQ(root[1], 0u);
+    EXPECT_EQ(AllocAll(pool.get(), 1024), std::vector<uint64_t>{interrupted_off})
+        << (want_shift ? "shifted" : "unshifted") << " chunk";
+    pool.reset();
+    NvmPoolFile::Remove(path);
+  }
 }
 
 }  // namespace
