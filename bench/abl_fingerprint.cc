@@ -1,8 +1,9 @@
 // Ablation: the data node's one-byte fingerprint array (§5.2).
 //
 // PACTree matches a 64-byte fingerprint vector with SIMD before comparing any
-// full key. This microbench measures a data-node point search with the
-// fingerprint filter vs. a full linear key scan, at several occupancies.
+// slot's key. This microbench measures a data-node point search with the
+// fingerprint filter vs. a linear KeyEquals scan over the live slots, at
+// several occupancies.
 #include "bench/bench_common.h"
 #include "src/common/clock.h"
 #include "src/common/random.h"
@@ -20,8 +21,7 @@ int main(int argc, char** argv) {
   h.pool_id_base = 440;
   h.pool_size = 16 << 20;
   auto heap = PmemHeap::OpenOrCreate("abl_fp", h);
-  auto* node = static_cast<DataNode*>(
-      heap->Alloc(DataNode::NodeBytes(NodeFormat::kClassic)).get());
+  auto* node = static_cast<DataNode*>(heap->Alloc(sizeof(DataNode)).get());
 
   std::printf("%-10s %16s %16s %8s\n", "occupancy", "with_fp(ns/op)", "no_fp(ns/op)",
               "speedup");
@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
     }
     double with_fp = static_cast<double>(NowNs() - t0) / kProbes;
 
-    // Without: full key comparison against every live slot.
+    // Without: key comparison against every live slot.
     t0 = NowNs();
     for (int i = 0; i < kProbes; ++i) {
       const Key& k = keys[static_cast<size_t>(i) % keys.size()];
@@ -68,8 +68,8 @@ int main(int argc, char** argv) {
     std::printf("%-10d %16.1f %16.1f %7.2fx   (sink %llu)\n", occupancy, with_fp,
                 no_fp, no_fp / with_fp, static_cast<unsigned long long>(sink & 1));
   }
-  std::printf("# the fingerprint filter replaces O(live) 32-byte compares with two\n"
-              "# AVX2 compares + (usually) one full compare (GA1)\n");
+  std::printf("# the fingerprint filter replaces O(live) key compares with two\n"
+              "# AVX2 compares + (usually) one key compare (GA1)\n");
   heap.reset();
   PmemHeap::Destroy("abl_fp");
   return 0;

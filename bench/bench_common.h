@@ -71,12 +71,7 @@ inline constexpr bool BenchSimdFingerprints() {
 //                 20% 1-KiB. Also enables PACTree's tiered value storage
 //                 (PAC_VALUESTORE=1); indexes without large-value support are
 //                 skipped when N > 7. Also settable via PAC_VALUE_SIZE.
-//   --node-format=classic|compact
-//                 PACTree data-node layout for fresh pools: classic 3072-B
-//                 full-key nodes or compact 2048-B anchor-prefix-truncated
-//                 nodes (the default). Also settable via PAC_NODE_FORMAT
-//                 (0 = classic, 1 = compact); an existing pool's persisted
-//                 format wins on reopen.
+// Any other "--" argument prints this list and exits with status 2.
 //
 // Fault-injection / pressure env knobs (env-only; see DESIGN.md §6g):
 //   PAC_FAILPOINTS        arm allocation fail points for the run, e.g.
@@ -88,6 +83,8 @@ inline constexpr bool BenchSimdFingerprints() {
 //                         flips the tree read-only (writes return kFull),
 //                         resume re-enables writes once usage falls back.
 inline void ParseBenchFlags(int argc, char** argv) {
+  static constexpr const char* kKnownFlags =
+      "--pin --updaters=N --absorb --batch=N --json=PATH --value-size=N|mix";
   bool pin = EnvU64("PAC_PIN", 0) != 0;
   BenchReadBatch() = std::max<uint64_t>(1, EnvU64("PAC_BATCH", 1));
   for (int i = 1; i < argc; ++i) {
@@ -107,12 +104,12 @@ inline void ParseBenchFlags(int argc, char** argv) {
       // ApplyBenchValueSpec) and PacTree reads PAC_VALUESTORE at Open.
       setenv("PAC_VALUE_SIZE", arg.substr(13).c_str(), 1);
       setenv("PAC_VALUESTORE", "1", 1);
-    } else if (arg.rfind("--node-format=", 0) == 0) {
-      // Same env-var resolution path: PacTree reads PAC_NODE_FORMAT at Open.
-      setenv("PAC_NODE_FORMAT",
-             arg.substr(14) == "classic" ? "0" : "1", 1);
     } else if (arg.rfind("--json=", 0) == 0) {
       BenchJsonPath() = arg.substr(7);
+    } else if (arg.rfind("--", 0) == 0) {
+      std::fprintf(stderr, "%s: unknown flag '%s'; known flags: %s\n", argv[0],
+                   arg.c_str(), kKnownFlags);
+      std::exit(2);
     }
   }
   SetThreadPinning(pin);
@@ -177,14 +174,13 @@ inline void Banner(const char* fig, const char* what) {
   // A/B hygiene: numbers are meaningless without knowing whether the SIMD
   // fingerprint probe was compiled in and how the run was configured.
   std::printf("# config: fingerprints=%s pin=%d absorb=%s updaters=%s batch=%llu "
-              "value_size=%s node_format=%s\n",
+              "value_size=%s\n",
               BenchSimdFingerprints() ? "avx2" : "scalar",
               BenchPinEnabled() ? 1 : 0,
               EnvU64("PAC_ABSORB", 0) != 0 ? "on" : "off",
               EnvStr("PAC_UPDATERS", "auto").c_str(),
               static_cast<unsigned long long>(BenchReadBatch()),
-              EnvStr("PAC_VALUE_SIZE", "off").c_str(),
-              EnvU64("PAC_NODE_FORMAT", 1) == 0 ? "classic" : "compact");
+              EnvStr("PAC_VALUE_SIZE", "off").c_str());
   std::printf("# faults: failpoints=%s pressure=%llu/%llu/%llu\n",
               EnvStr("PAC_FAILPOINTS", "none").c_str(),
               static_cast<unsigned long long>(EnvU64("PAC_PRESSURE_SOFT", 85)),
@@ -251,8 +247,7 @@ inline void BenchJsonWrite(const char* bench) {
       .U64("absorb", EnvU64("PAC_ABSORB", 0) != 0 ? 1 : 0)
       .Str("updaters", EnvStr("PAC_UPDATERS", "auto"))
       .U64("batch", BenchReadBatch())
-      .Str("value_size", EnvStr("PAC_VALUE_SIZE", "off"))
-      .Str("node_format", EnvU64("PAC_NODE_FORMAT", 1) == 0 ? "classic" : "compact");
+      .Str("value_size", EnvStr("PAC_VALUE_SIZE", "off"));
   std::fprintf(f, "{\"bench\":\"%s\",\"config\":%s,\"rows\":[", bench,
                config.Render().c_str());
   for (size_t i = 0; i < BenchJsonRows().size(); ++i) {
@@ -354,18 +349,17 @@ inline double StatsJsonField(const std::string& json, const std::string& name) {
   return std::atof(json.c_str() + p + name.size() + 3);
 }
 
-// One-line read-pipeline banner for PACTree runs: which data-node layout the
-// run used, how often the compact arena reclaimed in place, and what the
-// MultiScan start-grouping saved per batch. Counters are cumulative over the
-// index instance's lifetime (i.e. all workloads run against it so far).
-inline void PrintPacTreeFormatStats(const RangeIndex* index) {
+// One-line read-pipeline banner for PACTree runs: how often a data node's
+// arena reclaimed in place, and what the MultiScan start-grouping saved per
+// batch. Counters are cumulative over the index instance's lifetime (i.e. all
+// workloads run against it so far).
+inline void PrintPacTreeNodeStats(const RangeIndex* index) {
   std::string js = index->StatsJson();
   double batches = StatsJsonField(js, "multiscan_batches");
   double saved = StatsJsonField(js, "multiscan_walks_saved");
   std::printf(
-      "# pactree: node_format=%s arena_compactions=%.0f multiscan_batches=%.0f "
+      "# pactree: arena_compactions=%.0f multiscan_batches=%.0f "
       "shared_nodes=%.0f walks_saved=%.0f (%.2f saved/batch)\n",
-      StatsJsonField(js, "node_format") != 0 ? "compact" : "classic",
       StatsJsonField(js, "arena_compactions"), batches,
       StatsJsonField(js, "multiscan_shared_nodes"), saved,
       batches > 0 ? saved / batches : 0.0);

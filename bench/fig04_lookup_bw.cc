@@ -3,7 +3,9 @@
 // FastFair (B+-tree) vs PDL-ART (trie), 100% lookups (YCSB-C), integer and
 // string keys: throughput and the total NVM media reads. The trie compares
 // partial keys per level and should read several times less than the B+-tree,
-// especially for string keys (out-of-node key records).
+// especially for string keys (out-of-node key records). PACTree runs the same
+// lookups: a hit reads its data node's 256-B header line, the slot record's
+// line (key word and value) and, for suffixes over 7 B, one arena line.
 #include <cmath>
 
 #include "bench/bench_common.h"
@@ -12,7 +14,7 @@ using namespace pactree;
 
 int main(int argc, char** argv) {
   ParseBenchFlags(argc, argv);
-  Banner("Figure 4", "lookup throughput and NVM reads: FastFair vs PDL-ART");
+  Banner("Figure 4", "lookup throughput and NVM reads: FastFair vs PDL-ART vs PACTree");
 
   // --- Eq. (1)/(2) analytic model table -----------------------------------
   std::printf("# analytic worst-case NVM IO per lookup (Eq. 1 vs Eq. 2):\n");
@@ -33,7 +35,7 @@ int main(int argc, char** argv) {
   std::printf("%-10s %-8s %10s %12s %14s %14s\n", "index", "keys", "threads", "Mops/s",
               "nvm_read(GB)", "rd_bytes/op");
   for (bool strings : {false, true}) {
-    for (IndexKind kind : {IndexKind::kFastFair, IndexKind::kPdlArt}) {
+    for (IndexKind kind : {IndexKind::kFastFair, IndexKind::kPdlArt, IndexKind::kPacTree}) {
       ConfigureNvmMachine();
       YcsbSpec spec;
       spec.kind = YcsbKind::kC;
@@ -60,45 +62,6 @@ int main(int argc, char** argv) {
   }
   std::printf("# paper shape: FastFair reads ~7.7x more NVM for string keys;"
               " PDL-ART ~3.7x higher lookup throughput\n");
-
-  // --- PACTree data-node format: classic 3072-B vs compact 2048-B ----------
-  // Same YCSB-C runs over PACTree in both layouts. A hit reads the node's
-  // 256-B header line either way; then classic reads the key line(s) and the
-  // value line, compact the slot-record line (value included) and, for
-  // suffixes over 7 B, one arena line. The smaller compact nodes also stay
-  // in the modeled cache more often; the big media win is on scans (fig05).
-  for (bool strings : {false, true}) {
-    for (int fmt : {0, 1}) {
-      ConfigureNvmMachine();
-      YcsbSpec spec;
-      spec.kind = YcsbKind::kC;
-      spec.record_count = scale.keys;
-      spec.op_count = scale.ops;
-      spec.threads = threads;
-      spec.string_keys = strings;
-      spec.zipfian = false;
-      spec.read_batch = BenchReadBatch();
-      IndexFactoryOptions opts;
-      opts.pactree_node_format = fmt;
-      // PAC_NODE_FORMAT would override the factory option at Open; pin it so
-      // a --node-format flag can't silently make both rows the same layout.
-      setenv("PAC_NODE_FORMAT", fmt == 0 ? "0" : "1", 1);
-      auto index = MakeLoaded(IndexKind::kPacTree, spec, opts);
-      if (index == nullptr) {
-        return 1;
-      }
-      YcsbResult r = YcsbDriver::Run(index.get(), spec);
-      std::string name = index->Name() + (fmt == 0 ? "-classic" : "-compact");
-      std::printf("%-16s %-8s %4u %12.3f %14.3f %14.1f\n", name.c_str(),
-                  strings ? "string" : "int", threads, r.mops,
-                  static_cast<double>(r.nvm.media_read_bytes) / 1e9,
-                  static_cast<double>(r.nvm.media_read_bytes) /
-                      static_cast<double>(r.ops));
-      std::fflush(stdout);
-      BenchJsonAdd(YcsbJsonRow(name, spec, r, index.get()));
-      CleanupIndex(std::move(index), IndexKind::kPacTree);
-    }
-  }
   BenchJsonWrite("fig04_lookup_bw");
   return 0;
 }

@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
         BenchJsonAdd(YcsbJsonRow(index->Name(), spec, r, index.get()));
       }
       if (kind == IndexKind::kPacTree) {
-        PrintPacTreeFormatStats(index.get());
+        PrintPacTreeNodeStats(index.get());
       }
       CleanupIndex(std::move(index), kind);
     }

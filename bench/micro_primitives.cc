@@ -103,9 +103,9 @@ void BM_Pmwcas2Words(benchmark::State& state) {
 BENCHMARK(BM_Pmwcas2Words);
 
 void BM_KeyCompareFull(benchmark::State& state) {
-  // The classic data node's equality test: one 32-byte memcmp over the
-  // zero-padded key images, regardless of how much of the key the node's
-  // anchor already pins down.
+  // Full-key equality (the paper's node stores a whole Key per slot): one
+  // 32-byte memcmp over the zero-padded key images, regardless of how much of
+  // the key the node's anchor already pins down.
   Key a = Key::FromString(std::string(31, 'q') + "a");
   Key b = a;
   for (auto _ : state) {
@@ -115,18 +115,15 @@ void BM_KeyCompareFull(benchmark::State& state) {
 BENCHMARK(BM_KeyCompareFull);
 
 void BM_KeyCompareTruncated(benchmark::State& state) {
-  // The compact node's KeyEquals on a slot whose anchor-shared prefix is
+  // The data node's KeyEquals on a slot whose anchor-shared prefix is
   // Arg bytes long: a length check, an Arg-byte prefix memcmp against the
   // anchor, and a (32 - Arg)-byte suffix memcmp against the packed arena.
   // Sweeping Arg = 0/8/16/24 shows how much of the 32-byte compare the
   // anchor prefix absorbs.
   const size_t plen = static_cast<size_t>(state.range(0));
   auto heap = MakeHeap("mb_keycmp", 570);
-  auto* node = static_cast<DataNode*>(
-      heap->Alloc(DataNode::NodeBytes(NodeFormat::kCompact)).get());
-  std::memset(static_cast<void*>(node), 0,
-              DataNode::NodeBytes(NodeFormat::kCompact));
-  node->format_byte = static_cast<uint8_t>(NodeFormat::kCompact);
+  auto* node = static_cast<DataNode*>(heap->Alloc(sizeof(DataNode)).get());
+  std::memset(static_cast<void*>(node), 0, sizeof(DataNode));
   std::string prefix(plen, 'p');
   node->anchor = Key::FromBytes(prefix.data(), prefix.size());
   Key key = Key::FromString(prefix + std::string(32 - plen, 'x'));

@@ -93,7 +93,6 @@ class PacTreeIndex : public RangeIndex {
     field("multiscan_batches", s.multiscan_batches);
     field("multiscan_shared_nodes", s.multiscan_shared_nodes);
     field("multiscan_walks_saved", s.multiscan_walks_saved);
-    field("node_format", s.node_format == NodeFormat::kCompact ? 1 : 0);
     field("arena_compactions", s.arena_compactions);
     field("absorb_staged", s.absorb.staged);
     field("absorb_drained", s.absorb.drained);
@@ -302,10 +301,6 @@ std::unique_ptr<RangeIndex> CreateIndex(IndexKind kind, const IndexFactoryOption
       }
       if (opts.pactree_value_segment_size != 0) {
         o.value_segment_size = opts.pactree_value_segment_size;
-      }
-      if (opts.pactree_node_format >= 0) {
-        o.node_format = opts.pactree_node_format == 0 ? NodeFormat::kClassic
-                                                      : NodeFormat::kCompact;
       }
       auto tree = PacTree::Open(o);
       return tree == nullptr ? nullptr

@@ -195,11 +195,6 @@ struct IndexFactoryOptions {
   bool pactree_value_storage = false;
   size_t pactree_value_cache_bytes = ~size_t{0};
   size_t pactree_value_segment_size = 0;  // 0 = PacTree default (256 KiB)
-  // Data-node on-media layout for FRESH PACTree pools: -1 = PacTree default
-  // (compact), 0 = classic 3072-B nodes, 1 = compact 2048-B anchor-prefix
-  // nodes. An int (not NodeFormat) so this header stays pactree-agnostic; an
-  // existing pool's persisted format always wins on reopen.
-  int pactree_node_format = -1;
   // FP-Tree HTM model (ignored by other kinds).
   double fptree_spurious_abort_per_line = 0.0;
   // Reopen existing pool files and run recovery instead of destroying them --

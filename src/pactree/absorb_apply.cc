@@ -47,41 +47,34 @@ PACTREE_NO_TSAN void WriteValue(DataNode* node, int slot, uint64_t value) {
   *node->ValueSlot(slot) = value;
 }
 
-// Tracks the arena bytes a compact group's StageSlot calls appended, so they
-// flush once with the slots (classic groups never touch it).
+// Tracks the arena bytes a group's StageSlot calls appended, so they flush
+// once with the slots.
 struct ArenaWatermark {
-  uint16_t lo = kCompactArenaBytes;
+  uint16_t lo = kArenaBytes;
   uint16_t hi = 0;
   void Reset() {
-    lo = kCompactArenaBytes;
+    lo = kArenaBytes;
     hi = 0;
   }
 };
 
-// Flushes every dirty slot's key/value (classic) or 16-B slot record
-// (compact) and fingerprint -- plus, for compact nodes, the appended arena
-// bytes and the cursor -- and fences once. Adjacent dirty slots coalesce into
-// shared XPLines via the flush-combining window; the fingerprint array
+// Flushes every dirty slot's 16-B record and fingerprint -- plus the appended
+// arena bytes and the cursor -- and fences once. Adjacent dirty slots coalesce
+// into shared XPLines via the flush-combining window; the fingerprint array
 // contributes at most one line for the batch. The cursor goes durable with
 // the suffix bytes BEFORE the bitmap publish that exposes the slots, so a
 // recovered image never has a live key word pointing above the recovered
 // cursor.
 void FlushDirtySlots(DataNode* node, uint64_t dirty, ArenaWatermark* wm) {
-  const bool is_compact = node->Format() == NodeFormat::kCompact;
   uint64_t d = dirty;
   while (d != 0) {
     int s = __builtin_ctzll(d);
     d &= d - 1;
-    if (is_compact) {
-      PersistRange(&node->compact.slots[s], sizeof(DataNode::CompactSlot));
-    } else {
-      PersistRange(&node->classic.keys[s], sizeof(Key));
-      PersistRange(&node->classic.values[s], sizeof(uint64_t));
-    }
+    PersistRange(&node->slots[s], sizeof(DataNode::Slot));
     PersistRange(&node->fp[s], 1);
   }
-  if (is_compact && wm->hi > wm->lo) {
-    PersistRange(&node->compact.arena[wm->lo], wm->hi - wm->lo);
+  if (wm->hi > wm->lo) {
+    PersistRange(&node->arena[wm->lo], wm->hi - wm->lo);
     PersistRange(&node->arena_cursor, sizeof(node->arena_cursor));
   }
   if (dirty != 0 || wm->hi > wm->lo) {
@@ -102,7 +95,7 @@ bool PacTree::AbsorbApply(const AbsorbOp* ops, size_t n) {
       stat_retries_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    AnnotateNvmRead(node, node->NodeBytes());
+    AnnotateNvmRead(node, sizeof(DataNode));
     // |bm| is the batch-local live view, |dirty| the slots needing a flush;
     // both publish at group end (or just before a split).
     uint64_t bm = node->Bitmap();
@@ -142,7 +135,7 @@ bool PacTree::AbsorbApply(const AbsorbOp* ops, size_t n) {
         continue;
       }
       if (bm == ~0ULL || !node->SuffixRoomFor(op.key)) {
-        // Slot-full, or (compact) no arena room for this key's suffix: make
+        // Slot-full, or no arena room for this key's suffix: make
         // the batch-local state real, then let MakeRoomLocked compact the
         // arena and/or split. Publishing first matters twice over -- the
         // split reads the published bitmap, and arena compaction treats the

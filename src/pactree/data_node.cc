@@ -18,7 +18,7 @@ namespace pactree {
 
 namespace {
 
-// Key word layout (CompactSlot::kw). The top byte is the form tag; key bytes
+// Key word layout (Slot::kw). The top byte is the form tag; key bytes
 // sit in the word in key order from its low byte up (little-endian hosts, so
 // memcpy between key bytes and the word keeps that order).
 //   whole-inline: | 1:1 | 0:1 | len:6 @56 | last min(len, 7) key bytes @0 |
@@ -70,7 +70,7 @@ DescFields DecodeDesc(uint64_t kw) {
   f.plen = std::min<size_t>((kw >> 18) & 0x3f, Key::kMaxLen);
   f.slen = std::min<size_t>((kw >> 12) & 0x3f, Key::kMaxLen - f.plen);
   f.off = kw & kArenaOffMask;
-  if (f.off + TailLen(f.slen) > kCompactArenaBytes) {
+  if (f.off + TailLen(f.slen) > kArenaBytes) {
     f.slen = std::min(f.slen, kArenaHeadBytes);
     f.off = 0;
   }
@@ -123,8 +123,7 @@ void ArenaBytesCopy(uint8_t* dst, const uint8_t* src, size_t n) {
 // out). Storing the sentinel as a key word would make the slot decode as a
 // different key, so stop in every build instead.
 [[noreturn]] void ArenaOverflow(const char* where) {
-  std::fprintf(stderr, "DataNode::%s: suffix does not fit the compact arena\n",
-               where);
+  std::fprintf(stderr, "DataNode::%s: suffix does not fit the arena\n", where);
   std::abort();
 }
 
@@ -138,14 +137,12 @@ uint64_t DataNode::Bitmap() const {
 int DataNode::CountLive() const { return __builtin_popcountll(Bitmap()); }
 
 uint64_t DataNode::LoadKeyWord(int slot) const {
-  return std::atomic_ref<uint64_t>(
-             const_cast<DataNode*>(this)->compact.slots[slot].kw)
+  return std::atomic_ref<uint64_t>(const_cast<DataNode*>(this)->slots[slot].kw)
       .load(std::memory_order_acquire);
 }
 
 void DataNode::StoreKeyWord(int slot, uint64_t kw) {
-  std::atomic_ref<uint64_t>(compact.slots[slot].kw)
-      .store(kw, std::memory_order_release);
+  std::atomic_ref<uint64_t>(slots[slot].kw).store(kw, std::memory_order_release);
 }
 
 size_t DataNode::SharedPrefixLen(const Key& anchor, const Key& key) {
@@ -163,15 +160,8 @@ size_t DataNode::ArenaNeed(const Key& anchor, const Key& key) {
   return slen > kWholeInlineBytes ? TailLen(slen) : 0;
 }
 
-size_t DataNode::ArenaNeed(const Key& key) const {
-  return Format() == NodeFormat::kClassic ? 0 : ArenaNeed(anchor, key);
-}
-
 PACTREE_NO_TSAN
 Key DataNode::KeyAt(int slot) const {
-  if (Format() == NodeFormat::kClassic) {
-    return classic.keys[slot];
-  }
   const uint64_t kw = LoadKeyWord(slot);
   uint8_t buf[Key::kMaxLen];
   if (IsInline(kw)) {
@@ -186,15 +176,12 @@ Key DataNode::KeyAt(int slot) const {
   const uint32_t head = ArenaHead(kw);
   std::memcpy(buf, anchor.data(), f.plen);
   std::memcpy(buf + f.plen, &head, hlen);
-  ArenaBytesCopy(buf + f.plen + hlen, compact.arena + f.off, f.slen - hlen);
+  ArenaBytesCopy(buf + f.plen + hlen, arena + f.off, f.slen - hlen);
   return Key::FromBytes(buf, f.plen + f.slen);
 }
 
 PACTREE_NO_TSAN
 bool DataNode::KeyEquals(int slot, const Key& key) const {
-  if (Format() == NodeFormat::kClassic) {
-    return classic.keys[slot] == key;
-  }
   return KeyWordEquals(LoadKeyWord(slot), key);
 }
 
@@ -220,7 +207,7 @@ bool DataNode::KeyWordEquals(uint64_t kw, const Key& key) const {
   uint32_t head = 0;
   std::memcpy(&head, suffix, hlen);
   return head == ArenaHead(kw) &&
-         ArenaBytesEqual(suffix + hlen, compact.arena + f.off, f.slen - hlen);
+         ArenaBytesEqual(suffix + hlen, arena + f.off, f.slen - hlen);
 }
 
 // Optimistic probe: runs under a version-lock read token and deliberately
@@ -248,28 +235,20 @@ int DataNode::FindKey(const Key& key, uint8_t fingerprint) const {
   }
   candidates &= live;
 #endif
-  const bool is_compact = Format() == NodeFormat::kCompact;
   while (candidates != 0) {
     int i = __builtin_ctzll(candidates);
-    if (is_compact) {
-      // One slot record (key word, and the value a hit reads next), then,
-      // for an arena-form word only, the arena bytes the compare needs.
-      AnnotateNvmRead(&compact.slots[i], sizeof(CompactSlot));
-      const uint64_t kw = LoadKeyWord(i);
-      if (!IsInline(kw)) {
-        DescFields f = DecodeDesc(kw);
-        if (TailLen(f.slen) != 0) {
-          AnnotateNvmRead(&compact.arena[f.off], TailLen(f.slen));
-        }
+    // One slot record (key word, and the value a hit reads next), then, for
+    // an arena-form word only, the arena bytes the compare needs.
+    AnnotateNvmRead(&slots[i], sizeof(Slot));
+    const uint64_t kw = LoadKeyWord(i);
+    if (!IsInline(kw)) {
+      DescFields f = DecodeDesc(kw);
+      if (TailLen(f.slen) != 0) {
+        AnnotateNvmRead(&arena[f.off], TailLen(f.slen));
       }
-      if (KeyWordEquals(kw, key)) {
-        return i;
-      }
-    } else {
-      AnnotateNvmRead(&classic.keys[i], sizeof(Key));
-      if (classic.keys[i] == key) {
-        return i;
-      }
+    }
+    if (KeyWordEquals(kw, key)) {
+      return i;
     }
     candidates &= candidates - 1;
   }
@@ -282,11 +261,6 @@ int DataNode::FindFreeSlot() const {
     return -1;
   }
   return __builtin_ctzll(~live);
-}
-
-uint64_t* DataNode::ValueSlot(int slot) {
-  return Format() == NodeFormat::kClassic ? &classic.values[slot]
-                                          : &compact.slots[slot].value;
 }
 
 uint64_t DataNode::ValueAt(int slot) const {
@@ -306,14 +280,14 @@ int DataNode::FindSharedTail(const uint8_t* tail, size_t n,
       continue;
     }
     DescFields f = DecodeDesc(kw);
-    if (TailLen(f.slen) == n && std::memcmp(compact.arena + f.off, tail, n) == 0) {
+    if (TailLen(f.slen) == n && std::memcmp(arena + f.off, tail, n) == 0) {
       return static_cast<int>(f.off);
     }
   }
   return -1;
 }
 
-// Suffix placement for a compact slot. Sharing scan: an UPDATE of a live key
+// Suffix placement for a slot. Sharing scan: an UPDATE of a live key
 // re-fills a fresh slot with the same bytes, and without sharing every such
 // churn would leak one arena tail until the next compaction. Only arena-form
 // slots in |live_mask| are candidates -- a dead slot's word may point at bytes
@@ -334,11 +308,11 @@ uint64_t DataNode::PlaceSuffix(const Key& key, uint64_t live_mask,
   if (int off = FindSharedTail(tail, tlen, live_mask); off >= 0) {
     return ArenaWord(plen, slen, static_cast<size_t>(off), head);  // share the live copy
   }
-  if (arena_cursor + tlen > kCompactArenaBytes) {
+  if (arena_cursor + tlen > kArenaBytes) {
     return kNoArenaRoom;  // caller compacts and/or splits
   }
   const uint16_t off = arena_cursor;
-  ArenaBytesCopy(compact.arena + off, tail, tlen);
+  ArenaBytesCopy(arena + off, tail, tlen);
   // Atomic: SortedEntries reads the cursor without the node lock.
   std::atomic_ref<uint16_t>(arena_cursor)
       .store(static_cast<uint16_t>(off + tlen), std::memory_order_relaxed);
@@ -349,7 +323,7 @@ uint64_t DataNode::PlaceSuffix(const Key& key, uint64_t live_mask,
 
 bool DataNode::SuffixRoomFor(const Key& key) const {
   const size_t tlen = ArenaNeed(key);
-  if (tlen == 0 || arena_cursor + tlen <= kCompactArenaBytes) {
+  if (tlen == 0 || arena_cursor + tlen <= kArenaBytes) {
     return true;
   }
   // No cursor room; a live identical arena tail still admits the key (mirrors
@@ -362,31 +336,21 @@ bool DataNode::SuffixRoomFor(const Key& key) const {
 // is not yet (or no longer) in the live bitmap while readers may be scanning.
 PACTREE_NO_TSAN
 void DataNode::FillSlot(int slot, const Key& key, uint8_t fingerprint, uint64_t value) {
-  if (Format() == NodeFormat::kClassic) {
-    classic.keys[slot] = key;
-    classic.values[slot] = value;
-    fp[slot] = fingerprint;
-    PersistRange(&classic.keys[slot], sizeof(Key));
-    PersistRange(&classic.values[slot], sizeof(uint64_t));
-    PersistRange(&fp[slot], 1);
-    Fence();
-    return;
-  }
-  uint16_t lo = kCompactArenaBytes;
+  uint16_t lo = kArenaBytes;
   uint16_t hi = 0;
   const uint64_t kw = PlaceSuffix(key, Bitmap(), &lo, &hi);
   if (kw == kNoArenaRoom) {
     ArenaOverflow("FillSlot");
   }
-  compact.slots[slot].value = value;
+  slots[slot].value = value;
   StoreKeyWord(slot, kw);
   fp[slot] = fingerprint;
   // Record, then arena tail and cursor (arena form only), all durable BEFORE
   // the caller's bitmap publish: a recovered image never has a live key word
   // pointing above the recovered cursor.
-  PersistRange(&compact.slots[slot], sizeof(CompactSlot));
+  PersistRange(&slots[slot], sizeof(Slot));
   if (hi > lo) {
-    PersistRange(&compact.arena[lo], hi - lo);
+    PersistRange(&arena[lo], hi - lo);
     PersistRange(&arena_cursor, sizeof(arena_cursor));
   }
   PersistRange(&fp[slot], 1);
@@ -396,25 +360,16 @@ void DataNode::FillSlot(int slot, const Key& key, uint8_t fingerprint, uint64_t 
 PACTREE_NO_TSAN
 void DataNode::StageSlot(int slot, const Key& key, uint8_t fingerprint,
                          uint64_t value, uint16_t* arena_lo, uint16_t* arena_hi) {
-  if (Format() == NodeFormat::kClassic) {
-    classic.keys[slot] = key;
-    classic.values[slot] = value;
-    fp[slot] = fingerprint;
-    return;
-  }
   const uint64_t kw = PlaceSuffix(key, Bitmap(), arena_lo, arena_hi);
   if (kw == kNoArenaRoom) {
     ArenaOverflow("StageSlot");
   }
-  compact.slots[slot].value = value;
+  slots[slot].value = value;
   StoreKeyWord(slot, kw);
   fp[slot] = fingerprint;
 }
 
 size_t DataNode::CompactArenaLocked() {
-  if (Format() == NodeFormat::kClassic) {
-    return 0;
-  }
   // Live set = the PUBLISHED bitmap: anything a crash right now would recover
   // live. Callers with batch-local bitmap state publish it first.
   struct Ref {
@@ -462,12 +417,12 @@ size_t DataNode::CompactArenaLocked() {
       // bytes durable, THEN swing each 8-B key word atomically (only the
       // offset field changes; the record's value and head stay as they are).
       // A crash at any point leaves every live word pointing at valid bytes.
-      ArenaBytesCopy(compact.arena + p, compact.arena + off, tlen);
-      PersistFence(&compact.arena[p], tlen);
+      ArenaBytesCopy(arena + p, arena + off, tlen);
+      PersistFence(&arena[p], tlen);
       for (int j = g; j < gend; ++j) {
         const int s = refs[j].slot;
         StoreKeyWord(s, (LoadKeyWord(s) & ~kArenaOffMask) | p);
-        PersistRange(&compact.slots[s].kw, sizeof(uint64_t));
+        PersistRange(&slots[s].kw, sizeof(uint64_t));
       }
       Fence();  // swings durable before the cursor drop below
       p = static_cast<uint16_t>(p + tlen);
@@ -518,20 +473,16 @@ int DataNode::SortedEntries(uint64_t version, std::pair<Key, uint64_t>* out) {
   std::atomic_ref<uint64_t> pv_ref(perm_version);
   uint64_t pv = pv_ref.load(std::memory_order_acquire);
   const uint64_t live = Bitmap();
-  if (Format() == NodeFormat::kClassic) {
-    AnnotateNvmRead(this, NodeBytes());
-  } else {
-    AnnotateNvmRead(this, kProbeSpanBytes);
-    constexpr size_t kSlotsPerLine = kXpLineSize / sizeof(CompactSlot);
-    for (size_t s = 0; s < kDataNodeEntries; s += kSlotsPerLine) {
-      if ((live >> s & ((1ULL << kSlotsPerLine) - 1)) != 0) {
-        AnnotateNvmRead(&compact.slots[s], kXpLineSize);
-      }
+  AnnotateNvmRead(this, kProbeSpanBytes);
+  constexpr size_t kSlotsPerLine = kXpLineSize / sizeof(Slot);
+  for (size_t s = 0; s < kDataNodeEntries; s += kSlotsPerLine) {
+    if ((live >> s & ((1ULL << kSlotsPerLine) - 1)) != 0) {
+      AnnotateNvmRead(&slots[s], kXpLineSize);
     }
-    const uint16_t cursor = std::atomic_ref<uint16_t>(arena_cursor)
-                                .load(std::memory_order_relaxed);
-    AnnotateNvmRead(compact.arena, std::min<size_t>(cursor, kCompactArenaBytes));
   }
+  const uint16_t cursor =
+      std::atomic_ref<uint16_t>(arena_cursor).load(std::memory_order_relaxed);
+  AnnotateNvmRead(arena, std::min<size_t>(cursor, kArenaBytes));
   if (pv == version) {
     const int n = __builtin_popcountll(live);
     for (int i = 0; i < n; ++i) {

@@ -7,43 +7,31 @@
 // §4.4) and is regenerated on demand, version-checked; anchor key fixed at
 // creation; doubly-linked siblings.
 //
-// Two on-media layouts share one header (DESIGN.md §6i):
+// The node is 2048 B = 8 XPLines (DESIGN.md §6i). The paper's node stores a
+// full 36-B Key per slot in 3072 B; this one does not. Every key in a node is
+// >= its immutable anchor and typically shares a prefix with it, so a slot
+// stores only a 16-B record -- the value and one 8-B key word -- plus, for
+// long suffixes, a tail in a packed append-only arena at the node tail
+// (PaC-trees' compressed blocks, arXiv 2204.06077: short entries inline, long
+// ones spilled). The key word has two forms, chosen by its top bit:
 //
-//   kClassic -- 3072 B = 12 XPLines, full 36-B Key per slot, the paper's
-//   layout (§5.2).
+//   whole-inline (top bit 1) -- the suffix past the anchor-shared prefix is
+//     <= 7 B. The word holds the key length and the key's last min(len, 7)
+//     bytes; the bytes before them are by definition the anchor's. Storing
+//     the length rather than the shared-prefix length is what frees room for
+//     7 bytes, and 7 covers an 8-B integer key that shares one byte with
+//     its anchor. The arena is never touched.
+//   arena (top bit 0) -- a descriptor (prefix length, suffix length, arena
+//     offset) and the first 4 suffix bytes; the rest of the suffix is in
+//     the arena.
 //
-//   kCompact -- 2048 B = 8 XPLines. Every key in a node is >= its immutable
-//   anchor and typically shares a prefix with it, so a slot stores only a 16-B
-//   record -- the value and one 8-B key word -- plus, for long suffixes, a
-//   tail in a packed append-only arena at the node tail (PaC-trees'
-//   compressed blocks, arXiv 2204.06077: short entries inline, long ones
-//   spilled). The key word has two forms, chosen by its top bit:
-//
-//     whole-inline (top bit 1) -- the suffix past the anchor-shared prefix is
-//       <= 7 B. The word holds the key length and the key's last min(len, 7)
-//       bytes; the bytes before them are by definition the anchor's. Storing
-//       the length rather than the shared-prefix length is what frees room for
-//       7 bytes, and 7 covers an 8-B integer key that shares one byte with
-//       its anchor. The arena is never touched.
-//     arena (top bit 0) -- a descriptor (prefix length, suffix length, arena
-//       offset) and the first 4 suffix bytes; the rest of the suffix is in
-//       the arena.
-//
-//   The word is loaded and stored as one atomic, so a reader sees the length,
-//   the inline bytes and the arena offset of one encoding. A point hit reads
-//   the header line, then the slot record's line (key word and value) and,
-//   for arena-form keys only, one arena line: 2 lines for an integer key, 3
-//   for a long string suffix. A scan (SortedEntries) reads the header line,
-//   each slot line holding a live slot, and the arena below its cursor: at
-//   most 5 lines for an integer-key node, whose arena is empty. The
-//   fingerprint array, bitmap-publish linearization, and 64-slot concurrency
-//   protocol are exactly the classic ones; only the slot bytes changed shape.
-//
-// The first 256 bytes (metadata, anchor, fingerprints, permutation) are
-// byte-identical in both formats; a per-node format byte written at creation
-// lets every method self-dispatch, so classic and compact nodes can coexist
-// in one pool (a pre-existing classic image reopened under a compact-default
-// build keeps its nodes classic; new nodes follow the tree's format knob).
+// The word is loaded and stored as one atomic, so a reader sees the length,
+// the inline bytes and the arena offset of one encoding. A point hit reads
+// the header line, then the slot record's line (key word and value) and, for
+// arena-form keys only, one arena line: 2 lines for an integer key, 3 for a
+// long string suffix. A scan (SortedEntries) reads the header line, each slot
+// line holding a live slot, and the arena below its cursor: at most 5 lines
+// for an integer-key node, whose arena is empty.
 #ifndef PACTREE_SRC_PACTREE_DATA_NODE_H_
 #define PACTREE_SRC_PACTREE_DATA_NODE_H_
 
@@ -63,27 +51,19 @@ inline constexpr size_t kDataNodeEntries = 64;
 // array; never equal to a lock version, so no reader trusts the array then.
 inline constexpr uint64_t kPermBuilding = 1ULL << 63;
 
-// On-media slot layout of a data node. Persisted per node (one byte in the
-// header) and per tree (PacRoot); the tree-level knob only selects the format
-// of NEW nodes, every method reads the node's own byte.
-enum class NodeFormat : uint8_t {
-  kClassic = 0,  // full Key per slot (also what a legacy zeroed byte decodes to)
-  kCompact = 1,  // anchor-prefix-truncated suffixes in a packed arena
-};
-
-// Longest suffix a compact key word holds whole (whole-inline form).
+// Longest suffix a key word holds whole (whole-inline form).
 inline constexpr size_t kWholeInlineBytes = 7;
 // Leading suffix bytes an arena-form key word keeps; the rest of the suffix
 // goes to the arena.
 inline constexpr size_t kArenaHeadBytes = 4;
 
-// Suffix-arena capacity of a compact node: 12 B/slot on average. With the 4
-// head bytes a full node holds 64 suffixes of up to 16 B each, as a 1024-B
-// arena of whole suffixes would. Incompressible key sets exhaust the arena
-// before the bitmap fills; writers then compact the arena in place and, if
-// that is not enough, split the node early -- compact nodes trade worst-case
-// fan-out for 2/3 the media footprint.
-inline constexpr size_t kCompactArenaBytes = 768;
+// Suffix-arena capacity of a node: 12 B/slot on average. With the 4 head
+// bytes a full node holds 64 suffixes of up to 16 B each, as a 1024-B arena
+// of whole suffixes would. Incompressible key sets exhaust the arena before
+// the bitmap fills; writers then compact the arena in place and, if that is
+// not enough, split the node early -- the node trades worst-case fan-out for
+// 2/3 the paper's media footprint.
+inline constexpr size_t kArenaBytes = 768;
 
 struct DataNode {
   // --- cache line 0: mutable metadata (persisted, except perm_version) ---
@@ -92,10 +72,9 @@ struct DataNode {
   uint64_t next_raw;       // 16  PPtr of right sibling (0 = tail)
   uint64_t prev_raw;       // 24  PPtr of left sibling (0 = head)
   uint32_t deleted;        // 32  logical-delete mark set by merge
-  uint8_t format_byte;     // 36  NodeFormat, written at creation (legacy: 0)
-  uint8_t pad0[3];         // 37
+  uint8_t pad0[4];         // 36
   uint64_t perm_version;   // 40  volatile: version the perm array matches
-  uint16_t arena_cursor;   // 48  compact: first free arena byte (<= capacity)
+  uint16_t arena_cursor;   // 48  first free arena byte (<= kArenaBytes)
   uint8_t pad1[14];        // 50
   // --- cache line 1: anchor key (immutable after creation, persisted) ---
   Key anchor;              // 64
@@ -104,46 +83,23 @@ struct DataNode {
   uint8_t fp[kDataNodeEntries];    // 128
   // --- cache line 3: permutation array (NOT persisted) ---
   uint8_t perm[kDataNodeEntries];  // 192
-  // --- slots (format-dependent tail; access through the helpers) ---
-  struct ClassicTail {
-    Key keys[kDataNodeEntries];        // 256
-    uint64_t values[kDataNodeEntries]; // 2560
-  };
-  // One compact slot, 16 per XPLine: a probe that matched the slot reads its
+  // --- cache lines 4-19: slot records; 20-31: suffix arena ---
+  // One slot record, 16 per XPLine: a probe that matched the slot reads its
   // value from the line it already fetched for the key word.
-  struct CompactSlot {
+  struct Slot {
     uint64_t value;
     // Key word, stored/loaded as one 8-B atomic: whole-inline or arena form
     // (see the top of this file; data_node.cc has the bit layout).
     uint64_t kw;
   };
-  struct CompactTail {
-    CompactSlot slots[kDataNodeEntries];  // 256
-    uint8_t arena[kCompactArenaBytes];    // 1280
-  };
-  union {
-    ClassicTail classic;
-    CompactTail compact;
-  };
-
-  // ---- format ----
-
-  NodeFormat Format() const {
-    return format_byte == 0 ? NodeFormat::kClassic : NodeFormat::kCompact;
-  }
-  // On-media node size by format: what allocation and whole-node persists
-  // must use. sizeof(DataNode) stays the classic (max) size; a compact node
-  // simply never touches bytes past 2048.
-  static constexpr size_t NodeBytes(NodeFormat f) {
-    return f == NodeFormat::kCompact ? 2048 : 3072;
-  }
-  size_t NodeBytes() const { return NodeBytes(Format()); }
+  Slot slots[kDataNodeEntries];  // 256
+  uint8_t arena[kArenaBytes];    // 1280
 
   // Everything a FindKey probe reads before the slot compare -- metadata,
   // anchor, fingerprints (the permutation line rides along: XPLine granularity)
   // -- derived from the layout so a tail change cannot desync the prefetch
   // annotation from what the probe actually touches.
-  static constexpr size_t kProbeSpanBytes = 256;  // == offsetof(DataNode, classic)
+  static constexpr size_t kProbeSpanBytes = 256;  // == offsetof(DataNode, slots)
 
   // ---- helpers (all assume the caller handles concurrency) ----
 
@@ -156,52 +112,49 @@ struct DataNode {
   // First free slot or -1.
   int FindFreeSlot() const;
 
-  // Reconstructs the key of |slot| (classic: a copy of the slot key; compact:
-  // anchor prefix + arena suffix). Optimistic callers version-validate.
+  // Reconstructs the key of |slot| (anchor prefix + key-word bytes + arena
+  // tail). Optimistic callers version-validate.
   Key KeyAt(int slot) const;
 
   // True when the slot holds exactly |key| (what FindKey's compare uses).
   bool KeyEquals(int slot, const Key& key) const;
 
-  // Address of the slot's 8-B value word (position depends on the format).
-  uint64_t* ValueSlot(int slot);
-  const uint64_t* ValueSlot(int slot) const {
-    return const_cast<DataNode*>(this)->ValueSlot(slot);
-  }
+  // Address of the slot's 8-B value word.
+  uint64_t* ValueSlot(int slot) { return &slots[slot].value; }
+  const uint64_t* ValueSlot(int slot) const { return &slots[slot].value; }
   // Acquire-load of the slot value (optimistic-reader idiom).
   uint64_t ValueAt(int slot) const;
 
   // Writes slot contents + fingerprint and persists them (bitmap untouched:
-  // callers flip the bit afterwards as the linearization point). Compact
-  // nodes: the caller must have checked SuffixRoomFor(key) under the write
-  // lock; the suffix append and cursor advance are persisted with the slot,
-  // BEFORE the caller's bitmap publish, so a recovered live key word never
-  // points above the recovered cursor.
+  // callers flip the bit afterwards as the linearization point). The caller
+  // must have checked SuffixRoomFor(key) under the write lock; the suffix
+  // append and cursor advance are persisted with the slot, BEFORE the
+  // caller's bitmap publish, so a recovered live key word never points above
+  // the recovered cursor.
   void FillSlot(int slot, const Key& key, uint8_t fingerprint, uint64_t value);
 
   // FillSlot without any persist (absorb drains coalesce flushes; split builds
-  // persist the whole node once). Compact: arena bytes consumed here are
-  // reported through |arena_lo|/|arena_hi| (dirty watermark, grown in place)
-  // so the caller can flush them together with the slot.
+  // persist the whole node once). Arena bytes consumed here are reported
+  // through |arena_lo|/|arena_hi| (dirty watermark, grown in place) so the
+  // caller can flush them together with the slot.
   void StageSlot(int slot, const Key& key, uint8_t fingerprint, uint64_t value,
                  uint16_t* arena_lo, uint16_t* arena_hi);
 
   // Arena bytes |key| takes in this node when no live copy is shared: 0 when
   // its suffix past the anchor-shared prefix fits the key word whole (<= 7 B),
-  // else the suffix minus the 4 head bytes. Classic: 0.
-  size_t ArenaNeed(const Key& key) const;
-  // The same count for a compact node anchored at |anchor| (a split sizes the
-  // new node's arena before building it).
+  // else the suffix minus the 4 head bytes.
+  size_t ArenaNeed(const Key& key) const { return ArenaNeed(anchor, key); }
+  // The same count for a node anchored at |anchor| (a split sizes the new
+  // node's arena before building it).
   static size_t ArenaNeed(const Key& anchor, const Key& key);
 
-  // Classic: always true. Compact: true when |key|'s suffix can be placed --
-  // it needs no arena bytes, an identical live arena tail exists to share, or
-  // the arena has cursor room.
+  // True when |key|'s suffix can be placed -- it needs no arena bytes, an
+  // identical live arena tail exists to share, or the arena has cursor room.
   bool SuffixRoomFor(const Key& key) const;
 
-  // Compact only: in-place crash-safe arena compaction under the node's write
-  // lock. Live = the PUBLISHED bitmap, so callers must publish any pending
-  // batch-local bitmap first. Each live arena tail is only ever copied into a
+  // In-place crash-safe arena compaction under the node's write lock. Live =
+  // the PUBLISHED bitmap, so callers must publish any pending batch-local
+  // bitmap first. Each live arena tail is only ever copied into a
   // fully-free region before the offset field of its 8-B key word atomically
   // swings (a crash leaves every live word pointing at valid, persisted
   // bytes); whole-inline words are never touched. Moves whose destination
@@ -241,7 +194,7 @@ struct DataNode {
   bool IsDeleted() const;
 
  private:
-  // Compact internals (data_node.cc).
+  // Key-word internals (data_node.cc).
   uint64_t LoadKeyWord(int slot) const;
   void StoreKeyWord(int slot, uint64_t kw);
   // True when key word |kw| of this node encodes exactly |key|.
@@ -262,24 +215,17 @@ struct DataNode {
                        uint16_t* arena_hi);
 };
 
-static_assert(sizeof(DataNode) == 3072, "classic node must be exactly 12 XPLines");
+static_assert(sizeof(DataNode) == 2048, "a data node is exactly 8 XPLines");
 static_assert(offsetof(DataNode, fp) == 128, "fingerprints on their own line");
-static_assert(offsetof(DataNode, classic) == 256, "slot tail XPLine-aligned");
-static_assert(offsetof(DataNode, classic) == DataNode::kProbeSpanBytes,
-              "probe span must cover exactly the shared header");
-static_assert(offsetof(DataNode::ClassicTail, values) == 2304,
-              "classic values after 64 full keys");
-static_assert(sizeof(DataNode::CompactSlot) == 16, "four slot records per cache line");
-static_assert(offsetof(DataNode, compact) % 256 == 0 &&
-                  256 % sizeof(DataNode::CompactSlot) == 0,
+static_assert(offsetof(DataNode, slots) == DataNode::kProbeSpanBytes,
+              "probe span must cover exactly the header");
+static_assert(offsetof(DataNode, slots) % 256 == 0 &&
+                  256 % sizeof(DataNode::Slot) == 0,
               "a slot's value and key word share one XPLine");
-static_assert(offsetof(DataNode::CompactSlot, kw) % 8 == 0,
+static_assert(sizeof(DataNode::Slot) == 16, "four slot records per cache line");
+static_assert(offsetof(DataNode::Slot, kw) % 8 == 0,
               "the key word is one aligned atomic");
-static_assert(offsetof(DataNode::CompactTail, arena) == 1024,
-              "compact arena after the slot records");
-static_assert(offsetof(DataNode, compact) + sizeof(DataNode::CompactTail) ==
-                  DataNode::NodeBytes(NodeFormat::kCompact),
-              "compact node must be exactly 8 XPLines");
+static_assert(offsetof(DataNode, arena) == 1280, "arena after the slot records");
 
 }  // namespace pactree
 

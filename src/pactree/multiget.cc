@@ -14,8 +14,8 @@
 //   prefetched (PdlArt::PrefetchFloorPath -> AnnotateNvmPrefetch warms the
 //   modeled XPLine cache without stalling). The trie's leaves are the data
 //   nodes, so that prefetch already covers the floor node's metadata/anchor/
-//   fingerprint XPLine; only a compact node's descriptor line is prefetched
-//   separately for stage 3. One key's worth of work always sits between a
+//   fingerprint XPLine; only the next group's probe span is prefetched
+//   separately in stage 3. One key's worth of work always sits between a
 //   prefetch and its use, which is the overlap window the non-stalling
 //   prefetch model assumes.
 //

@@ -22,13 +22,7 @@ struct PacTree::PacRoot {
   // if the caller forgot the option (crash tests reopen by name only).
   // Occupies former zero-initialized padding, so pre-existing images read 0.
   uint64_t value_mode;
-  // Data-node format this tree's nodes are written in, encoded +1 so a
-  // pre-existing zero-initialized image decodes to "legacy classic":
-  // 0 = legacy (classic), 1 = kClassic, 2 = kCompact. Written at creation and
-  // adopted on reopen regardless of the configured option -- nodes keep the
-  // layout they were persisted with. Occupies former zeroed padding.
-  uint64_t node_format_plus1;
-  uint64_t pad[4];
+  uint64_t pad[5];
   uint64_t log_raws[kMaxWriterSlots];
   // Absorb op-log rings (log heap), allocated lazily the first time the index
   // opens with absorb_writes on; 0 = never allocated. Recovery replays every

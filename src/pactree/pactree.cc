@@ -21,16 +21,16 @@
 namespace pactree {
 
 namespace {
-// Root magic, one per on-media layout. "PACTREE1" pools keep 48-B ArtLeaf
-// records as search-layer leaves; from "PACTREE2" on, trie leaves are the data
-// nodes themselves; "PACTREE3" compact nodes keep each slot's value,
-// descriptor and suffix head in one 16-B record; "PACTREE4" compact records
-// are {value, key word}, and suffixes of up to 7 B sit whole in the word.
-// Pools of another layout are refused, never converted or wiped.
-constexpr uint64_t kPacMagicRecordLeaves = 0x3145455254434150ULL;  // "PACTREE1"
-constexpr uint64_t kPacMagicSplitSlots = 0x3245455254434150ULL;    // "PACTREE2"
-constexpr uint64_t kPacMagicHeadSlots = 0x3345455254434150ULL;     // "PACTREE3"
-constexpr uint64_t kPacMagic = 0x3445455254434150ULL;              // "PACTREE4"
+// Root magic: "PACTREE" and a layout digit, bumped on every on-media layout
+// change. "PACTREE1" pools keep 48-B ArtLeaf records as search-layer leaves;
+// from "PACTREE2" on, trie leaves are the data nodes themselves; "PACTREE3"
+// slot records hold a 4-B descriptor and 4 suffix bytes; "PACTREE4" nodes
+// carry a format byte and may be 3072-B full-key nodes; "PACTREE5" nodes are
+// all the one 2048-B layout of data_node.h. Pools of another layout are
+// refused, never converted or wiped.
+constexpr uint64_t kPacMagicStem = 0x0045455254434150ULL;  // "PACTREE" + digit
+constexpr char kPacLayoutDigit = '5';
+constexpr uint64_t kPacMagic = kPacMagicStem | uint64_t{kPacLayoutDigit} << 56;
 // The search layer's leaves are the data nodes: a leaf's key is its anchor.
 constexpr int kTrieLeafKeyOffset = offsetof(DataNode, anchor);
 constexpr int kMergeThreshold = 24;  // merge when combined live keys fit easily
@@ -98,11 +98,6 @@ bool PacTree::Init(const PacTreeOptions& opts, Status* why) {
   if (uint64_t v = EnvU64("PAC_PRESSURE_RESUME", 0); v != 0) {
     opts_.pressure_resume = static_cast<double>(v) / 100.0;
   }
-  // Node format for FRESH pools (0 = classic, 1 = compact; bench
-  // --node-format). An existing pool's persisted format wins below.
-  if (uint64_t v = EnvU64("PAC_NODE_FORMAT", ~0ULL); v != ~0ULL) {
-    opts_.node_format = v == 0 ? NodeFormat::kClassic : NodeFormat::kCompact;
-  }
   // A fresh index is made only in a pool just created or whose root was never
   // sealed (magic 0: a crash inside the fresh-index window below). A pool of
   // another layout is refused before any heap is attached -- an attach bumps
@@ -119,22 +114,18 @@ bool PacTree::Init(const PacTreeOptions& opts, Status* why) {
     return false;
   }
   if (pool_layout == Status::kOk && magic != 0 && magic != kPacMagic) {
-    const bool old = magic == kPacMagicRecordLeaves || magic == kPacMagicSplitSlots ||
-                     magic == kPacMagicHeadSlots;
-    const char* layout =
-        magic == kPacMagicRecordLeaves
-            ? "PACTREE1, the old layout whose search-layer leaves are 48-B ArtLeaf records"
-        : magic == kPacMagicSplitSlots
-            ? "PACTREE2, the old layout whose compact nodes keep values, descriptors "
-              "and suffixes in separate arrays"
-        : magic == kPacMagicHeadSlots
-            ? "PACTREE3, the old layout whose compact slot records keep a 4-B "
-              "descriptor and 4 suffix bytes, with every longer suffix in the arena"
-            : "unknown or corrupt root";
+    const char digit = static_cast<char>(magic >> 56);
+    const bool old = (magic & ~(0xffULL << 56)) == kPacMagicStem && digit >= '1' &&
+                     digit < kPacLayoutDigit;
+    char layout[32] = "an unknown or corrupt root";
+    if (old) {
+      std::snprintf(layout, sizeof(layout), "old layout PACTREE%c", digit);
+    }
     std::fprintf(stderr,
-                 "pactree: '%s' has root magic 0x%016llx (%s); this build reads PACTREE4 "
-                 "pools only. Refusing to open; files left untouched.\n",
-                 opts.name.c_str(), static_cast<unsigned long long>(magic), layout);
+                 "pactree: '%s' has root magic 0x%016llx (%s); this build reads "
+                 "PACTREE%c pools only. Refusing to open; files left untouched.\n",
+                 opts.name.c_str(), static_cast<unsigned long long>(magic), layout,
+                 kPacLayoutDigit);
     *why = old ? Status::kOldLayout : Status::kCorrupted;
     return false;
   }
@@ -175,18 +166,16 @@ bool PacTree::Init(const PacTreeOptions& opts, Status* why) {
     // ---- fresh index ----
     std::memset(static_cast<void*>(root_), 0, sizeof(PacRoot));
     PersistFence(root_, sizeof(PacRoot));
-    PPtr<void> head = data_heap_->Alloc(DataNode::NodeBytes(opts_.node_format));
+    PPtr<void> head = data_heap_->Alloc(sizeof(DataNode));
     if (head.IsNull()) {
       return false;
     }
     auto* head_node = static_cast<DataNode*>(head.get());
     head_node->anchor = Key::Min();
-    head_node->format_byte = static_cast<uint8_t>(opts_.node_format);
     head_node->perm_version = kPermBuilding;  // never matches a lock version
-    PersistFence(head_node, DataNode::NodeBytes(opts_.node_format));
+    PersistFence(head_node, sizeof(DataNode));
     root_->head_raw = head.raw;
-    root_->node_format_plus1 = static_cast<uint64_t>(opts_.node_format) + 1;
-    PersistFence(&root_->head_raw, 2 * sizeof(uint64_t));
+    PersistFence(&root_->head_raw, sizeof(uint64_t));
     for (size_t i = 0; i < kMaxWriterSlots; ++i) {
       PPtr<void> log = log_heap_->AllocTo(ToPPtr(&root_->log_raws[i]), sizeof(SmoLog));
       if (log.IsNull()) {
@@ -214,18 +203,6 @@ bool PacTree::Init(const PacTreeOptions& opts, Status* why) {
       search_layer_exact_ = false;
     }
     art_ = std::make_unique<PdlArt>(search_heap_.get(), &root_->art, kTrieLeafKeyOffset);
-    // Adopt the pool's persisted node format: nodes keep the layout they were
-    // written with, regardless of what this incarnation was configured for.
-    // A pre-existing zeroed field means a legacy (classic) image; persist the
-    // explicit encoding once so later reopens do not re-derive it.
-    if (root_->node_format_plus1 == 0) {
-      opts_.node_format = NodeFormat::kClassic;
-      root_->node_format_plus1 = 1;
-      PersistFence(&root_->node_format_plus1, sizeof(uint64_t));
-    } else {
-      opts_.node_format =
-          static_cast<NodeFormat>(root_->node_format_plus1 - 1);
-    }
   }
 
   // Value tier: explicit option, PAC_VALUESTORE=1 (bench --value-size), or a
@@ -677,24 +654,21 @@ Status PacTree::Remove(const Key& key) {
 namespace {
 
 // Index (in sorted order) of the first key a split moves right: the median,
-// except that a compact node pushes it right until the moved keys' arena need
-// against their new anchor, counted without tail sharing, fits a fresh arena.
-// The old node may have held them only by sharing one tail copy, and
-// re-truncation against the new anchor can shift where each tail starts (keys
-// that differ in their first bytes and share a long remainder). The new
-// anchor needs no tail bytes and any one other key at most 28, so the loop
-// stops with at least one key moved.
-int SplitPoint(NodeFormat format, const Key* keys, int n) {
-  if (format == NodeFormat::kClassic) {
-    return n / 2;
-  }
+// pushed right until the moved keys' arena need against their new anchor,
+// counted without tail sharing, fits a fresh arena. The old node may have
+// held them only by sharing one tail copy, and re-truncation against the new
+// anchor can shift where each tail starts (keys that differ in their first
+// bytes and share a long remainder). The new anchor needs no tail bytes and
+// any one other key at most 28, so the loop stops with at least one key
+// moved.
+int SplitPoint(const Key* keys, int n) {
   int m = n / 2;
   for (; m < n - 1; ++m) {
     size_t need = 0;
     for (int i = m + 1; i < n; ++i) {
       need += DataNode::ArenaNeed(keys[m], keys[i]);
     }
-    if (need <= kCompactArenaBytes) {
+    if (need <= kArenaBytes) {
       break;
     }
   }
@@ -706,15 +680,15 @@ int SplitPoint(NodeFormat format, const Key* keys, int n) {
 DataNode* PacTree::SplitLocked(DataNode* node, const Key& key) {
   uint8_t order[kDataNodeEntries];
   int n = node->ComputeSortedOrder(order);
-  // Classic nodes split only when slot-full (n == 64); compact nodes also
-  // split when the suffix arena is exhausted, which can happen at any live
-  // count >= 2 (1 <= m < n keeps both halves' anchors distinct and non-empty).
+  // A node splits when slot-full (n == 64) or when the suffix arena is
+  // exhausted, which can happen at any live count >= 2 (1 <= m < n keeps both
+  // halves' anchors distinct and non-empty).
   assert(n >= 2 && "split needs two distinct keys");
   Key keys[kDataNodeEntries];
   for (int i = 0; i < n; ++i) {
     keys[i] = node->KeyAt(order[i]);
   }
-  const int m = SplitPoint(node->Format(), keys, n);
+  const int m = SplitPoint(keys, n);
   const Key split_anchor = keys[m];
 
   // (1) Log the split; the new node is allocated straight into the log entry's
@@ -722,7 +696,7 @@ DataNode* PacTree::SplitLocked(DataNode* node, const Key& key) {
   SmoLogEntry* e =
       updater_->Log(kSmoTypeSplit, ToPPtr(node).Cast<void>().raw, 0, split_anchor);
   PPtr<void> new_block =
-      data_heap_->AllocTo(ToPPtr(&e->other_raw), node->NodeBytes());
+      data_heap_->AllocTo(ToPPtr(&e->other_raw), sizeof(DataNode));
   if (new_block.IsNull()) {
     // Data pool exhausted. Unwind: durably cancel the log entry (nothing was
     // published and no layer was touched, so recovery and live replay both
@@ -746,7 +720,6 @@ DataNode* PacTree::SplitLocked(DataNode* node, const Key& key) {
   // tails fit a fresh arena even with no sharing.
   new_node->lock.WriteLock();  // unreachable: uncontended
   new_node->anchor = split_anchor;
-  new_node->format_byte = node->format_byte;
   new_node->deleted = 0;
   new_node->perm_version = kPermBuilding;
   new_node->arena_cursor = 0;
@@ -765,7 +738,7 @@ DataNode* PacTree::SplitLocked(DataNode* node, const Key& key) {
     new_bitmap |= 1ULL << dst;
   }
   new_node->bitmap = new_bitmap;
-  PersistFence(new_node, new_node->NodeBytes());
+  PersistFence(new_node, sizeof(DataNode));
 
   // (3) Publish in the paper's order: link right of splitting node, trim the
   // splitting node's bitmap, fix the right neighbor's back pointer.
@@ -775,12 +748,10 @@ DataNode* PacTree::SplitLocked(DataNode* node, const Key& key) {
   if (old_right != nullptr) {
     old_right->StorePrevPersist(new_block.raw);
   }
-  if (node->Format() == NodeFormat::kCompact) {
-    // The moved keys' suffixes are dead in the left arena now that the trim is
-    // published; reclaim them immediately so an arena-driven split makes real
-    // progress for the half that keeps the old anchor.
-    node->CompactArenaLocked();
-  }
+  // The moved keys' suffixes are dead in the left arena now that the trim is
+  // published; reclaim them immediately so an arena-driven split makes real
+  // progress for the half that keeps the old anchor.
+  node->CompactArenaLocked();
   stat_splits_.fetch_add(1, std::memory_order_relaxed);
   updater_->Publish(e);
 
@@ -801,8 +772,8 @@ DataNode* PacTree::SplitLocked(DataNode* node, const Key& key) {
 }
 
 bool PacTree::MakeRoomLocked(DataNode** node, const Key& key) {
-  // Makes the write-locked node able to accept |key|: a free slot AND (compact
-  // format) arena room for its suffix. Cheapest remedy first: when only the
+  // Makes the write-locked node able to accept |key|: a free slot AND arena
+  // room for its suffix. Cheapest remedy first: when only the
   // arena is short, an in-place compaction may reclaim dead suffix bytes.
   // Otherwise split -- possibly repeatedly, since an incompressible key set
   // can leave the owning half still short on arena bytes; each split leaves
@@ -858,28 +829,26 @@ void PacTree::TryMergeLocked(DataNode* node) {
     survivor = left;
     victim = node;
   }
-  if (survivor->Format() == NodeFormat::kCompact) {
-    // The survivor's arena must be able to take every victim suffix BEFORE the
-    // merge is logged: unlike a split there is no room-making fallback halfway
-    // through a merge. Bound the need without assuming sharing, compact once
-    // if short, and skip the merge entirely when still short -- both nodes
-    // stay valid and a later, smaller merge can retry. (No slot state is
-    // staged yet, so compacting against the published bitmap is safe.)
-    size_t need = 0;
-    uint64_t vbm = victim->Bitmap();
-    while (vbm != 0) {
-      int i = __builtin_ctzll(vbm);
-      vbm &= vbm - 1;
-      need += survivor->ArenaNeed(victim->KeyAt(i));
-    }
-    if (kCompactArenaBytes - survivor->arena_cursor < need) {
-      survivor->CompactArenaLocked();
-    }
-    if (kCompactArenaBytes - survivor->arena_cursor < need) {
-      DataNode* locked_sibling = survivor == node ? victim : survivor;
-      locked_sibling->lock.WriteUnlock();
-      return;
-    }
+  // The survivor's arena must be able to take every victim suffix BEFORE the
+  // merge is logged: unlike a split there is no room-making fallback halfway
+  // through a merge. Bound the need without assuming sharing, compact once if
+  // short, and skip the merge entirely when still short -- both nodes stay
+  // valid and a later, smaller merge can retry. (No slot state is staged yet,
+  // so compacting against the published bitmap is safe.)
+  size_t need = 0;
+  uint64_t vbm = victim->Bitmap();
+  while (vbm != 0) {
+    int i = __builtin_ctzll(vbm);
+    vbm &= vbm - 1;
+    need += survivor->ArenaNeed(victim->KeyAt(i));
+  }
+  if (kArenaBytes - survivor->arena_cursor < need) {
+    survivor->CompactArenaLocked();
+  }
+  if (kArenaBytes - survivor->arena_cursor < need) {
+    DataNode* locked_sibling = survivor == node ? victim : survivor;
+    locked_sibling->lock.WriteUnlock();
+    return;
   }
   uint64_t survivor_raw = ToPPtr(survivor).Cast<void>().raw;
   uint64_t victim_raw = ToPPtr(victim).Cast<void>().raw;
@@ -1219,7 +1188,6 @@ PacTreeStats PacTree::Stats() const {
       stat_multiscan_shared_nodes_.load(std::memory_order_relaxed);
   s.multiscan_walks_saved =
       stat_multiscan_walks_saved_.load(std::memory_order_relaxed);
-  s.node_format = opts_.node_format;
   s.arena_compactions = stat_arena_compactions_.load(std::memory_order_relaxed);
   if (absorb_ != nullptr) {
     s.absorb = absorb_->Stats();

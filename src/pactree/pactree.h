@@ -108,15 +108,6 @@ struct PacTreeOptions {
   double value_gc_threshold = 0.5;
   // Value-append arenas / GC services; 0 = auto (one per logical NUMA node).
   uint32_t value_arenas = 0;
-
-  // Data-node slot layout (DESIGN.md §6i): kCompact packs anchor-prefix-
-  // truncated key suffixes into a 2048-B node (2/3 the media footprint of the
-  // classic 3072-B layout); kClassic is the paper's full-Key-per-slot node.
-  // Persisted in the root at creation and ADOPTED ON REOPEN regardless of this
-  // option (like value_segment_size): a pool's nodes keep the format they were
-  // written with. Env override for fresh pools: PAC_NODE_FORMAT (0 = classic,
-  // 1 = compact; the bench --node-format flag).
-  NodeFormat node_format = NodeFormat::kCompact;
 };
 
 // Jump-hop histogram width: bucket i counts lookups that needed i sibling
@@ -149,10 +140,8 @@ struct PacTreeStats {
   // (sum over shared nodes of consumers - 1).
   uint64_t multiscan_shared_nodes = 0;
   uint64_t multiscan_walks_saved = 0;
-  // Format of NEW data nodes this incarnation writes (adopted from the root).
-  NodeFormat node_format = NodeFormat::kClassic;
-  // Compact-format suffix-arena compactions (in-place dead-suffix reclaims
-  // that made room without a split); always zero under kClassic.
+  // Suffix-arena compactions (in-place dead-suffix reclaims that made room
+  // without a split).
   uint64_t arena_compactions = 0;
   // Write-absorption counters (all zero when absorb_writes is off).
   AbsorbStats absorb;

@@ -210,30 +210,28 @@ void PacTree::RecoverMerge(SmoLogEntry* e) {
   if (!right->IsDeleted()) {
     // Copy phase may be incomplete: move over every live key the survivor does
     // not already hold, then mark the victim deleted.
-    if (node->Format() == NodeFormat::kCompact) {
-      // The survivor's arena must fit every missing suffix before any copy
-      // (TryMergeLocked pre-checks the same bound pre-crash, but the crash
-      // may land after suffix appends consumed arena room). Compact once if
-      // short; abandon the roll-forward if still short -- both nodes stay
-      // live and the list stays valid. Recovery is single-threaded, so the
-      // lock-holding contract of CompactArenaLocked holds trivially.
-      size_t need = 0;
-      uint64_t vbm = right->Bitmap();
-      while (vbm != 0) {
-        int i = __builtin_ctzll(vbm);
-        vbm &= vbm - 1;
-        Key k = right->KeyAt(i);
-        if (node->FindKey(k, k.Fingerprint()) >= 0) {
-          continue;
-        }
-        need += node->ArenaNeed(k);
+    // The survivor's arena must fit every missing suffix before any copy
+    // (TryMergeLocked pre-checks the same bound pre-crash, but the crash may
+    // land after suffix appends consumed arena room). Compact once if short;
+    // abandon the roll-forward if still short -- both nodes stay live and the
+    // list stays valid. Recovery is single-threaded, so the lock-holding
+    // contract of CompactArenaLocked holds trivially.
+    size_t need = 0;
+    uint64_t vbm = right->Bitmap();
+    while (vbm != 0) {
+      int i = __builtin_ctzll(vbm);
+      vbm &= vbm - 1;
+      Key k = right->KeyAt(i);
+      if (node->FindKey(k, k.Fingerprint()) >= 0) {
+        continue;
       }
-      if (kCompactArenaBytes - node->arena_cursor < need) {
-        node->CompactArenaLocked();
-      }
-      if (kCompactArenaBytes - node->arena_cursor < need) {
-        return;
-      }
+      need += node->ArenaNeed(k);
+    }
+    if (kArenaBytes - node->arena_cursor < need) {
+      node->CompactArenaLocked();
+    }
+    if (kArenaBytes - node->arena_cursor < need) {
+      return;
     }
     uint64_t bm = right->Bitmap();
     uint64_t add = 0;

@@ -111,7 +111,6 @@ class CrashSweepTest : public ::testing::Test {
     o.pactree_absorb_writes = absorb_;
     o.pactree_value_storage = value_;
     o.pactree_value_segment_size = value_ ? (32 << 10) : 0;  // GC-reachable
-    o.pactree_node_format = node_format_;
     o.open_existing = open_existing;
     if (open_existing && recover_updaters_ > 0) {
       // Recovery-side override: bring the index back up with live per-shard
@@ -132,11 +131,6 @@ class CrashSweepTest : public ::testing::Test {
   // the persistent value_mode flag makes the recovery open reattach it even
   // without the option, but the factory passes it explicitly anyway).
   bool value_ = false;
-  // Data-node layout for the PACTree traces: -1 = PacTree's default (compact
-  // 2048-B nodes, which every unmarked PACTree sweep therefore runs under),
-  // 0 = classic 3072-B. The persisted root format makes recovery opens match
-  // regardless of this knob.
-  int node_format_ = -1;
 
   // Builds the trace's base state, arms the window, runs the operation,
   // captures the (possibly frozen) durable image, rebuilds the pool files and
@@ -308,25 +302,6 @@ TEST_F(CrashSweepTest, PacTreeSplitMultiUpdaterRecovery) {
   SweepAllModes(IndexKind::kPacTree, sc);
 }
 
-TEST_F(CrashSweepTest, PacTreeClassicSplit) {
-  // The split trace again, but over classic 3072-B full-key nodes. The
-  // unmarked PACTree sweeps above all run the compact layout (the default),
-  // so this is the classic format's crash-consistency regression guard --
-  // including the format byte's propagation into the freshly built sibling.
-  node_format_ = 0;
-  SweepScenario sc;
-  sc.setup = [](RangeIndex* idx, RecoveryExpectation* exp) {
-    for (uint64_t i = 1; i <= 64; ++i) {
-      InsertAcked(idx, exp, i * 10, i * 10 + 1);
-    }
-  };
-  sc.window = [](RangeIndex* idx, RecoveryExpectation* exp) {
-    idx->Insert(Key::FromInt(645), 646);
-    exp->inflight[Key::FromInt(645)] = 646;
-  };
-  SweepAllModes(IndexKind::kPacTree, sc);
-}
-
 // A 28-byte string key ("key/" + 24 digits): against the head node's all-zero
 // anchor the shared prefix is empty, so each distinct key costs its whole
 // suffix less the 4 head bytes its key word keeps: 24 bytes of arena.
@@ -339,14 +314,14 @@ Key ArenaKey(uint64_t i) {
 }
 
 TEST_F(CrashSweepTest, PacTreeCompactArenaCompaction) {
-  // Compact-format suffix-arena compaction as the crashed op. Setup leaves
-  // one data node with 16 live keys of 24 arena bytes each (384 bytes) and
-  // churns 16 insert+remove cycles of distinct keys, each leaking a 24-byte
-  // dead tail: the cursor lands exactly at kCompactArenaBytes = 768 with 48
-  // free slots. The window insert therefore has a free slot but no suffix
-  // room, and MakeRoomLocked must run CompactArenaLocked -- suffix moves,
-  // descriptor swings, and the cursor trim all land inside the fault window,
-  // followed by the insert's own FillSlot + bitmap publish. Every crash
+  // Suffix-arena compaction as the crashed op. Setup leaves one data node
+  // with 16 live keys of 24 arena bytes each (384 bytes) and churns 16
+  // insert+remove cycles of distinct keys, each leaking a 24-byte dead tail:
+  // the cursor lands exactly at kArenaBytes = 768 with 48 free slots. The
+  // window insert therefore has a free slot but no suffix room, and
+  // MakeRoomLocked must run CompactArenaLocked -- suffix moves, descriptor
+  // swings, and the cursor trim all land inside the fault window, followed
+  // by the insert's own FillSlot + bitmap publish. Every crash
   // point must recover with all 16 acked keys intact (a torn descriptor
   // swing may not leave any of them reading relocated-over bytes). The
   // ArenaChurnCompactsInsteadOfSplitting unit test pins this base state's
@@ -383,7 +358,7 @@ Key SharedTailKey(uint64_t i) {
 }
 
 TEST_F(CrashSweepTest, PacTreeSharedTailSplit) {
-  // A slot-full compact split whose moved half cannot be a plain median half:
+  // A slot-full split whose moved half cannot be a plain median half:
   // the 64 setup keys share one arena tail under the head node's zero anchor,
   // but against any split anchor from the set each needs its own 28-B tail,
   // so the split moves fewer keys to keep the new node's arena within 768 B.
@@ -404,7 +379,7 @@ TEST_F(CrashSweepTest, PacTreeSharedTailSplit) {
 }
 
 TEST_F(CrashSweepTest, PacTreeUpdate) {
-  // An out-of-place overwrite of a live compact key: the update fills a free
+  // An out-of-place overwrite of a live key: the update fills a free
   // slot with the same key -- a fresh 16-B record whose arena-form key word
   // shares the live slot's arena tail -- then flips both
   // bitmap bits in one store. Every crash point must recover the key with
@@ -435,7 +410,7 @@ Key InlineIntKey(int zeros, uint64_t i) {
 }
 
 TEST_F(CrashSweepTest, PacTreeInlineKeyUpdate) {
-  // One compact node holding whole-inline 8-B integer keys next to arena-form
+  // One data node holding whole-inline 8-B integer keys next to arena-form
   // string keys (ArenaKey, 24 arena bytes each). As in
   // PacTreeCompactArenaCompaction, 16 live string keys plus 16 churned ones
   // leave the arena cursor at 768. The window first overwrites an inline key

@@ -20,10 +20,7 @@
 namespace pactree {
 namespace {
 
-// Every behavioral test runs against BOTH on-media formats: the compact
-// anchor-prefix layout must be observationally identical to the classic one
-// through the accessor surface (FindKey / KeyAt / ValueAt / sorted order).
-class DataNodeTest : public ::testing::TestWithParam<NodeFormat> {
+class DataNodeTest : public ::testing::Test {
  protected:
   void SetUp() override {
     GlobalNvmConfig() = NvmConfig();
@@ -34,8 +31,7 @@ class DataNodeTest : public ::testing::TestWithParam<NodeFormat> {
     opts.pool_size = 16 << 20;
     heap_ = PmemHeap::OpenOrCreate("dn_test", opts);
     ASSERT_NE(heap_, nullptr);
-    node_ = static_cast<DataNode*>(
-        heap_->Alloc(DataNode::NodeBytes(GetParam())).get());
+    node_ = static_cast<DataNode*>(heap_->Alloc(sizeof(DataNode)).get());
     ASSERT_NE(node_, nullptr);
     ResetNode();
   }
@@ -46,48 +42,32 @@ class DataNodeTest : public ::testing::TestWithParam<NodeFormat> {
   }
 
   void ResetNode(const Key& anchor = Key::Min()) {
-    std::memset(static_cast<void*>(node_), 0, DataNode::NodeBytes(GetParam()));
-    node_->format_byte = static_cast<uint8_t>(GetParam());
+    std::memset(static_cast<void*>(node_), 0, sizeof(DataNode));
     node_->anchor = anchor;
   }
-
-  bool compact() const { return GetParam() == NodeFormat::kCompact; }
 
   std::unique_ptr<PmemHeap> heap_;
   DataNode* node_ = nullptr;
 };
 
-TEST(DataNodeLayoutTest, SharedHeaderAndFormatTails) {
-  EXPECT_EQ(sizeof(DataNode), 3072u);
+TEST(DataNodeLayoutTest, HeaderSlotsAndArena) {
+  EXPECT_EQ(sizeof(DataNode), 2048u);
   EXPECT_EQ(offsetof(DataNode, anchor), 64u);
   EXPECT_EQ(offsetof(DataNode, fp), 128u);
   EXPECT_EQ(offsetof(DataNode, perm), 192u);
-  // Both tails start right after the shared header.
-  EXPECT_EQ(offsetof(DataNode, classic), 256u);
-  EXPECT_EQ(offsetof(DataNode, compact), 256u);
-  EXPECT_EQ(offsetof(DataNode, classic) + offsetof(DataNode::ClassicTail, values),
-            2560u);
-  // Compact: 64 16-B slot records (value, 8-B key word), then the 768-B
-  // arena of suffix tails.
-  EXPECT_EQ(offsetof(DataNode, compact) + offsetof(DataNode::CompactTail, slots),
-            256u);
-  EXPECT_EQ(sizeof(DataNode::CompactSlot), 16u);
-  EXPECT_EQ(offsetof(DataNode::CompactSlot, value), 0u);
-  EXPECT_EQ(offsetof(DataNode::CompactSlot, kw), 8u);
+  // 64 16-B slot records (value, 8-B key word) right after the header, then
+  // the 768-B arena of suffix tails.
+  EXPECT_EQ(offsetof(DataNode, slots), 256u);
+  EXPECT_EQ(sizeof(DataNode::Slot), 16u);
+  EXPECT_EQ(offsetof(DataNode::Slot, value), 0u);
+  EXPECT_EQ(offsetof(DataNode::Slot, kw), 8u);
   EXPECT_EQ(kWholeInlineBytes, 7u);
   EXPECT_EQ(kArenaHeadBytes, 4u);
-  EXPECT_EQ(offsetof(DataNode, compact) + offsetof(DataNode::CompactTail, arena),
-            1280u);
-  EXPECT_EQ(kCompactArenaBytes, 768u);
-  EXPECT_EQ(DataNode::NodeBytes(NodeFormat::kClassic), 3072u);
-  EXPECT_EQ(DataNode::NodeBytes(NodeFormat::kCompact), 2048u);
-  // A zeroed legacy format byte decodes to classic.
-  alignas(256) unsigned char raw[sizeof(DataNode)] = {};
-  EXPECT_EQ(reinterpret_cast<const DataNode*>(raw)->Format(),
-            NodeFormat::kClassic);
+  EXPECT_EQ(offsetof(DataNode, arena), 1280u);
+  EXPECT_EQ(kArenaBytes, 768u);
 }
 
-TEST_P(DataNodeTest, FillAndFindSlot) {
+TEST_F(DataNodeTest, FillAndFindSlot) {
   Key k = Key::FromInt(1234);
   node_->FillSlot(5, k, k.Fingerprint(), 99);
   EXPECT_EQ(node_->FindKey(k, k.Fingerprint()), -1) << "invisible until bitmap set";
@@ -97,7 +77,7 @@ TEST_P(DataNodeTest, FillAndFindSlot) {
   EXPECT_EQ(node_->KeyAt(5), k);
 }
 
-TEST_P(DataNodeTest, BitmapIsVisibilityPivot) {
+TEST_F(DataNodeTest, BitmapIsVisibilityPivot) {
   Key a = Key::FromInt(1);
   Key b = Key::FromInt(2);
   node_->FillSlot(0, a, a.Fingerprint(), 10);
@@ -110,7 +90,7 @@ TEST_P(DataNodeTest, BitmapIsVisibilityPivot) {
   EXPECT_GE(node_->FindKey(b, b.Fingerprint()), 0);
 }
 
-TEST_P(DataNodeTest, FindFreeSlotScansBitmap) {
+TEST_F(DataNodeTest, FindFreeSlotScansBitmap) {
   EXPECT_EQ(node_->FindFreeSlot(), 0);
   node_->PublishBitmap(0b111);
   EXPECT_EQ(node_->FindFreeSlot(), 3);
@@ -118,7 +98,7 @@ TEST_P(DataNodeTest, FindFreeSlotScansBitmap) {
   EXPECT_EQ(node_->FindFreeSlot(), -1);
 }
 
-TEST_P(DataNodeTest, FingerprintFilterNeverMissesAndRarelyLies) {
+TEST_F(DataNodeTest, FingerprintFilterNeverMissesAndRarelyLies) {
   // Property: FindKey(k) finds exactly the slot holding k, for random fills.
   Rng rng(99);
   for (int trial = 0; trial < 200; ++trial) {
@@ -152,7 +132,7 @@ TEST_P(DataNodeTest, FingerprintFilterNeverMissesAndRarelyLies) {
   }
 }
 
-TEST_P(DataNodeTest, ComputeSortedOrderIsSorted) {
+TEST_F(DataNodeTest, ComputeSortedOrderIsSorted) {
   Rng rng(5);
   uint64_t bitmap = 0;
   // Scatter 40 keys into random slots.
@@ -175,7 +155,7 @@ TEST_P(DataNodeTest, ComputeSortedOrderIsSorted) {
   }
 }
 
-TEST_P(DataNodeTest, SimdAndScalarFingerprintMatchAgree) {
+TEST_F(DataNodeTest, SimdAndScalarFingerprintMatchAgree) {
   // The AVX2 path and a reference scalar implementation must agree on every
   // candidate set, including fingerprint collisions on non-matching keys
   // (random per-slot fingerprints force both true and false candidates).
@@ -204,7 +184,7 @@ TEST_P(DataNodeTest, SimdAndScalarFingerprintMatchAgree) {
   }
 }
 
-TEST_P(DataNodeTest, SiblingPointerStores) {
+TEST_F(DataNodeTest, SiblingPointerStores) {
   node_->StoreNextPersist(0x1234500);
   node_->StorePrevPersist(0x6789a00);
   EXPECT_EQ(node_->NextRaw(), 0x1234500u);
@@ -219,7 +199,7 @@ TEST_P(DataNodeTest, SiblingPointerStores) {
 // 4-B suffix past the anchor sits whole in the key word, string keys with a
 // 21-B suffix (the arena fills, so compactions move live tails), and 8-B
 // integer keys sharing the anchor's first byte.
-TEST_P(DataNodeTest, RandomChurnMatchesMapOracle) {
+TEST_F(DataNodeTest, RandomChurnMatchesMapOracle) {
   // A scan's decode must equal the sorted order plus KeyAt/ValueAt per slot,
   // whether another reader is mid-rebuild of the permutation array (nothing
   // is published), the array is stale (rebuilt and published) or valid
@@ -346,18 +326,16 @@ TEST_P(DataNodeTest, RandomChurnMatchesMapOracle) {
         }
       }
     }
-    if (compact()) {
-      // The shapes cover both key-word forms: only the long suffixes use
-      // the arena.
-      EXPECT_EQ(node_->arena_cursor != 0, shape == 1);
-    }
+    // The shapes cover both key-word forms: only the long suffixes use the
+    // arena.
+    EXPECT_EQ(node_->arena_cursor != 0, shape == 1);
   }
 }
 
 // The media cost of a cold scan of one node (SortedEntries), read off the
 // pool's counters: the header line, each slot line holding a live slot, and
-// the arena below its cursor -- and for a classic node, all 12 lines.
-TEST_P(DataNodeTest, ColdScanReadsLiveExtentOnly) {
+// the arena below its cursor.
+TEST_F(DataNodeTest, ColdScanReadsLiveExtentOnly) {
   const NvmThreadCounters& c = LocalNvmCounters(ToPPtr(node_).pool());
   // Fills |slots| with |keys| and returns the XPLines a cold scan reads.
   auto cold_scan_lines = [&](const Key& anchor, const std::vector<int>& slots,
@@ -395,10 +373,8 @@ TEST_P(DataNodeTest, ColdScanReadsLiveExtentOnly) {
       keys.push_back(Key::FromInt(0x5a80000000000001ULL + (uint64_t(s) << 32)));
     }
     EXPECT_EQ(cold_scan_lines(Key::FromInt(0x5a10203040506071ULL), slots, keys),
-              compact() ? 4u : 12u);
-    if (compact()) {
-      EXPECT_EQ(node_->arena_cursor, 0);
-    }
+              4u);
+    EXPECT_EQ(node_->arena_cursor, 0);
   }
   // String keys with distinct 20-B suffixes past "node/" (16 arena bytes
   // each): the header, the live slot lines, and ceil(cursor / 256) arena
@@ -417,10 +393,6 @@ TEST_P(DataNodeTest, ColdScanReadsLiveExtentOnly) {
       live |= 1ULL << (i * stride);
     }
     const uint64_t got = cold_scan_lines(Key::FromString("node/"), slots, keys);
-    if (!compact()) {
-      EXPECT_EQ(got, 12u);
-      continue;
-    }
     uint64_t slot_lines = 0;
     for (int l = 0; l < 4; ++l) {
       slot_lines += (live >> (16 * l) & 0xffff) != 0;
@@ -431,10 +403,7 @@ TEST_P(DataNodeTest, ColdScanReadsLiveExtentOnly) {
   }
 }
 
-TEST_P(DataNodeTest, ArenaCompactionReclaimsDeadSuffixes) {
-  if (!compact()) {
-    GTEST_SKIP() << "classic nodes have no arena";
-  }
+TEST_F(DataNodeTest, ArenaCompactionReclaimsDeadSuffixes) {
   const Key anchor = Key::FromString("k/");
   ResetNode(anchor);
   // Fill 32 slots with distinct 14-byte suffixes, then kill every other slot.
@@ -467,10 +436,7 @@ TEST_P(DataNodeTest, ArenaCompactionReclaimsDeadSuffixes) {
   }
 }
 
-TEST_P(DataNodeTest, UpdateChurnSharesSuffixesInsteadOfLeaking) {
-  if (!compact()) {
-    GTEST_SKIP() << "classic nodes have no arena";
-  }
+TEST_F(DataNodeTest, UpdateChurnSharesSuffixesInsteadOfLeaking) {
   const Key anchor = Key::FromString("a/");
   ResetNode(anchor);
   Key k = Key::FromString("a/the-same-long-suffix-bytes");
@@ -491,16 +457,13 @@ TEST_P(DataNodeTest, UpdateChurnSharesSuffixesInsteadOfLeaking) {
   EXPECT_EQ(node_->KeyAt(cur), k);
 }
 
-TEST_P(DataNodeTest, SuffixRoomForReportsSharingAndExhaustion) {
-  if (!compact()) {
-    GTEST_SKIP() << "classic nodes have no arena";
-  }
+TEST_F(DataNodeTest, SuffixRoomForReportsSharingAndExhaustion) {
   ResetNode(Key::Min());
   // Burn the arena down to < 28 free bytes with distinct 32-byte keys (28
   // arena bytes each: the first 4 suffix bytes sit in the slot record).
   uint64_t bitmap = 0;
   int slot = 0;
-  while (kCompactArenaBytes - node_->arena_cursor >= 28) {
+  while (kArenaBytes - node_->arena_cursor >= 28) {
     char buf[33];
     std::snprintf(buf, sizeof(buf), "long-key-%019d-pad", slot);
     Key k = Key::FromBytes(buf, 32);
@@ -527,7 +490,7 @@ TEST_P(DataNodeTest, SuffixRoomForReportsSharingAndExhaustion) {
 // in KeyEquals, and is found by FindKey, while keys that differ in one byte
 // -- of the suffix's start, of its end, or of the anchor-shared prefix -- are
 // not.
-TEST_P(DataNodeTest, SuffixLengthsRoundTrip) {
+TEST_F(DataNodeTest, SuffixLengthsRoundTrip) {
   const std::pair<size_t, size_t> cases[] = {
       {32, 0}, {32, 1}, {32, 3}, {32, 4}, {32, 5}, {32, 6}, {32, 7}, {32, 8},
       {32, 9}, {32, 16}, {32, 28}, {32, 32}, {1, 1}, {3, 3}, {3, 1}, {6, 6},
@@ -547,16 +510,14 @@ TEST_P(DataNodeTest, SuffixLengthsRoundTrip) {
         suffix.back() = static_cast<char>('b' + i);
       }
       Key k = Key::FromString(anchor_bytes + suffix);
-      ASSERT_EQ(node_->ArenaNeed(k), compact() && slen > 7 ? slen - 4 : 0);
+      ASSERT_EQ(node_->ArenaNeed(k), slen > 7 ? slen - 4 : 0);
       ASSERT_TRUE(node_->SuffixRoomFor(k));
       node_->FillSlot(3 * i, k, k.Fingerprint(), 100 + i);
       bitmap |= 1ULL << (3 * i);
       keys.push_back(k);
     }
     node_->PublishBitmap(bitmap);
-    if (compact()) {
-      EXPECT_EQ(node_->arena_cursor, slen > 7 ? 8 * (slen - 4) : 0);
-    }
+    EXPECT_EQ(node_->arena_cursor, slen > 7 ? 8 * (slen - 4) : 0);
     for (int i = 0; i < nkeys; ++i) {
       const Key& k = keys[i];
       EXPECT_EQ(node_->KeyAt(3 * i), k);
@@ -587,14 +548,11 @@ TEST_P(DataNodeTest, SuffixLengthsRoundTrip) {
   }
 }
 
-// A compact node anchored at a random 8-B integer key and filled with 64 keys
+// A node anchored at a random 8-B integer key and filled with 64 keys
 // that share only its first byte (the benchmark's int-key shape): every
 // suffix is at most 7 B, so no key touches the arena, and every key still
 // reads back through KeyAt, KeyEquals, FindKey and the sorted order.
-TEST_P(DataNodeTest, IntKeysLeaveTheArenaEmpty) {
-  if (!compact()) {
-    GTEST_SKIP() << "classic nodes have no arena";
-  }
+TEST_F(DataNodeTest, IntKeysLeaveTheArenaEmpty) {
   Rng rng(2204);
   for (int trial = 0; trial < 20; ++trial) {
     SCOPED_TRACE(trial);
@@ -633,14 +591,11 @@ TEST_P(DataNodeTest, IntKeysLeaveTheArenaEmpty) {
   }
 }
 
-// The media cost of a cold point hit on a compact node, read off the pool's
+// The media cost of a cold point hit on a node, read off the pool's
 // counters: the header line (what JumpWalk reads), the slot record's line
 // (key word and value) and, only for a suffix longer than the 7 bytes a key
 // word holds whole, one arena line -- nothing else.
-TEST_P(DataNodeTest, ColdCompactHitReadsHeaderSlotAndArenaLines) {
-  if (!compact()) {
-    GTEST_SKIP() << "classic keys and values live on separate lines";
-  }
+TEST_F(DataNodeTest, ColdCompactHitReadsHeaderSlotAndArenaLines) {
   const NvmThreadCounters& c = LocalNvmCounters(ToPPtr(node_).pool());
   // Fills a full node anchored at |anchor| with |keys| and checks that each
   // key with a unique fingerprint costs exactly |lines| XPLines cold.
@@ -706,15 +661,6 @@ TEST_P(DataNodeTest, ColdCompactHitReadsHeaderSlotAndArenaLines) {
     measure(Key::FromInt(anchor), keys, 2);
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Formats, DataNodeTest,
-                         ::testing::Values(NodeFormat::kClassic,
-                                           NodeFormat::kCompact),
-                         [](const ::testing::TestParamInfo<NodeFormat>& info) {
-                           return info.param == NodeFormat::kCompact
-                                      ? "Compact"
-                                      : "Classic";
-                         });
 
 }  // namespace
 }  // namespace pactree

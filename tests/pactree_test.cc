@@ -205,9 +205,8 @@ TEST_F(PacTreeTest, ScanMatchesSortedModel) {
 
 // A cold scan over dense integer keys reads each data node's header line and
 // the slot lines that hold live slots, never the arena (every key word is
-// whole-inline): at most 5 of a compact node's 8 XPLines.
+// whole-inline): at most 5 of a node's 8 XPLines.
 TEST_F(PacTreeTest, ColdScanReadsLiveExtentOfEachNode) {
-  ASSERT_EQ(tree_->Stats().node_format, NodeFormat::kCompact);
   constexpr uint64_t kKeys = 20000;
   // Shuffled inserts spread each node's live slots over its slot lines.
   std::vector<uint64_t> keys(kKeys);
@@ -353,14 +352,13 @@ Key ChurnKey(uint64_t i) {
 }
 
 TEST_F(PacTreeTest, ArenaChurnCompactsInsteadOfSplitting) {
-  // Insert+remove churn of distinct keys leaks dead suffixes in a compact
+  // Insert+remove churn of distinct keys leaks dead suffixes in a data
   // node's arena without consuming slots. 16 live keys plus 16 churn cycles,
   // 24 arena bytes each, put the cursor exactly at the 768-byte arena limit
   // (32 x 24) with 48 slots free: the next insert must reclaim via
   // CompactArenaLocked, not split. (This is also the base state of the PacTreeCompactArenaCompaction
   // crash sweep -- this test pins the arithmetic the sweep's premise rests
   // on.)
-  ASSERT_EQ(tree_->Stats().node_format, NodeFormat::kCompact);
   for (uint64_t i = 1; i <= 16; ++i) {
     ASSERT_EQ(tree_->Insert(ChurnKey(i), i), Status::kOk);
   }
@@ -400,7 +398,6 @@ TEST_F(PacTreeTest, SlotFullSplitOfSharedTailKeysFitsTheNewArena) {
   // each moved key needs its own 28-B tail, and half the node (31 keys besides
   // the new anchor, 868 B) would overflow a fresh 768-B arena. The split must
   // move fewer keys instead of losing one.
-  ASSERT_EQ(tree_->Stats().node_format, NodeFormat::kCompact);
   for (uint64_t i = 0; i < kDataNodeEntries; ++i) {
     ASSERT_EQ(tree_->Insert(SharedTailKey(i), i + 1), Status::kOk) << i;
   }
@@ -430,56 +427,6 @@ TEST_F(PacTreeTest, SlotFullSplitOfSharedTailKeysFitsTheNewArena) {
   check_all();
 }
 
-TEST_F(PacTreeTest, ReopenAdoptsPersistedNodeFormat) {
-  // The data-node layout is stamped into the root at creation; a reopen
-  // configured with the OTHER format must adopt the persisted one -- node
-  // sizes and tail layouts are baked into every allocated node, so honoring
-  // the configured format would read classic key arrays as compact suffix
-  // descriptors (and vice versa). Both directions, with string keys so the
-  // compact side exercises real anchor-prefix truncation.
-  for (NodeFormat created : {NodeFormat::kClassic, NodeFormat::kCompact}) {
-    tree_.reset();
-    EpochManager::Instance().DrainAll();
-    PacTree::Destroy("pt_test");
-    opts_.node_format = created;
-    tree_ = PacTree::Open(opts_);
-    ASSERT_NE(tree_, nullptr);
-    ASSERT_EQ(tree_->Stats().node_format, created);
-    for (uint64_t i = 0; i < 20000; ++i) {
-      ASSERT_EQ(tree_->Insert(Key::FromInt(i * 3), i), Status::kOk) << i;
-    }
-    for (uint64_t i = 0; i < 5000; ++i) {
-      std::string s = "user/" + std::to_string(1000000 + i * 7);
-      ASSERT_EQ(tree_->Insert(Key::FromString(s), 1u << 20 | i), Status::kOk);
-    }
-    opts_.node_format = created == NodeFormat::kClassic ? NodeFormat::kCompact
-                                                        : NodeFormat::kClassic;
-    Reopen();
-    EXPECT_EQ(tree_->Stats().node_format, created);
-    for (uint64_t i = 0; i < 20000; ++i) {
-      uint64_t v;
-      ASSERT_EQ(tree_->Lookup(Key::FromInt(i * 3), &v), Status::kOk) << i;
-      ASSERT_EQ(v, i);
-    }
-    for (uint64_t i = 0; i < 5000; ++i) {
-      std::string s = "user/" + std::to_string(1000000 + i * 7);
-      uint64_t v;
-      ASSERT_EQ(tree_->Lookup(Key::FromString(s), &v), Status::kOk) << s;
-      ASSERT_EQ(v, 1u << 20 | i);
-    }
-    std::string why;
-    EXPECT_TRUE(tree_->CheckInvariants(&why)) << why;
-    // New writes (and the splits they force) keep building nodes in the
-    // adopted format.
-    for (uint64_t i = 0; i < 20000; ++i) {
-      ASSERT_EQ(tree_->Insert(Key::FromInt(i * 3 + 1), i), Status::kOk) << i;
-    }
-    tree_->DrainSmoLogs();
-    EXPECT_TRUE(tree_->CheckInvariants(&why)) << why;
-  }
-  opts_.node_format = NodeFormat::kCompact;  // restore for TearDown symmetry
-}
-
 // Every byte of the index's pool files (single pool per heap).
 std::vector<std::string> ReadPoolFiles(const std::string& name) {
   std::vector<std::string> files;
@@ -499,7 +446,8 @@ TEST_F(PacTreeTest, RefusesOtherLayoutPoolsAndLeavesFilesUntouched) {
   // as data nodes, "PACTREE2" compact nodes keep values, descriptors and
   // suffixes where this build's 16-B slot records are, "PACTREE3" records
   // hold a 4-B descriptor and 4 head bytes where this build reads one key
-  // word, and an unknown magic is a corrupt root, not a fresh pool. A pool of
+  // word, "PACTREE4" nodes carry a format byte and may be 3072-B full-key
+  // nodes, and an unknown magic is a corrupt root, not a fresh pool. A pool of
   // layout version 1 put its data nodes on unshifted chunk grids, where this
   // build would look for them one shift too far.
   PacTreeOptions o = opts_;
@@ -515,6 +463,9 @@ TEST_F(PacTreeTest, RefusesOtherLayoutPoolsAndLeavesFilesUntouched) {
     }
   }
   EpochManager::Instance().DrainAll();
+  uint64_t fresh_magic = 0;
+  ASSERT_EQ(PmemHeap::PeekRoot(o.name + ".data", &fresh_magic), Status::kOk);
+  EXPECT_EQ(fresh_magic, 0x3545455254434150ULL);  // "PACTREE5"
   struct Row {
     uint32_t pool_layout;
     uint64_t magic;
@@ -524,8 +475,9 @@ TEST_F(PacTreeTest, RefusesOtherLayoutPoolsAndLeavesFilesUntouched) {
       {kPoolLayoutVersion, 0x3145455254434150ULL, Status::kOldLayout},  // "PACTREE1"
       {kPoolLayoutVersion, 0x3245455254434150ULL, Status::kOldLayout},  // "PACTREE2"
       {kPoolLayoutVersion, 0x3345455254434150ULL, Status::kOldLayout},  // "PACTREE3"
+      {kPoolLayoutVersion, 0x3445455254434150ULL, Status::kOldLayout},  // "PACTREE4"
       {kPoolLayoutVersion, 0x0123456789abcdefULL, Status::kCorrupted},
-      {1, 0x3445455254434150ULL, Status::kOldLayout},  // "PACTREE4" root, layout 1
+      {1, 0x3545455254434150ULL, Status::kOldLayout},  // "PACTREE5" root, layout 1
   };
   for (const auto& [pool_layout, magic, want] : rows) {
     {
