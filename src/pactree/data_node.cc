@@ -186,7 +186,7 @@ bool DataNode::KeyEquals(int slot, const Key& key) const {
 }
 
 PACTREE_NO_TSAN
-bool DataNode::KeyWordEquals(uint64_t kw, const Key& key) const {
+bool DataNode::KeyWordEquals(uint64_t kw, const Key& key, bool annotate) const {
   // Truncated compare: the anchor-shared prefix (usually short), then the
   // bytes in the word, then (arena form) the arena tail -- never the full
   // 32-byte padded image.
@@ -206,8 +206,13 @@ bool DataNode::KeyWordEquals(uint64_t kw, const Key& key) const {
   const uint8_t* suffix = key.data() + f.plen;
   uint32_t head = 0;
   std::memcpy(&head, suffix, hlen);
-  return head == ArenaHead(kw) &&
-         ArenaBytesEqual(suffix + hlen, arena + f.off, f.slen - hlen);
+  if (head != ArenaHead(kw)) {
+    return false;
+  }
+  if (annotate && f.slen > hlen) {
+    AnnotateNvmRead(&arena[f.off], f.slen - hlen);
+  }
+  return ArenaBytesEqual(suffix + hlen, arena + f.off, f.slen - hlen);
 }
 
 // Optimistic probe: runs under a version-lock read token and deliberately
@@ -237,17 +242,10 @@ int DataNode::FindKey(const Key& key, uint8_t fingerprint) const {
 #endif
   while (candidates != 0) {
     int i = __builtin_ctzll(candidates);
-    // One slot record (key word, and the value a hit reads next), then, for
-    // an arena-form word only, the arena bytes the compare needs.
+    // One slot record (key word, and the value a hit reads next); the
+    // compare charges an arena tail only when it gets that far.
     AnnotateNvmRead(&slots[i], sizeof(Slot));
-    const uint64_t kw = LoadKeyWord(i);
-    if (!IsInline(kw)) {
-      DescFields f = DecodeDesc(kw);
-      if (TailLen(f.slen) != 0) {
-        AnnotateNvmRead(&arena[f.off], TailLen(f.slen));
-      }
-    }
-    if (KeyWordEquals(kw, key)) {
+    if (KeyWordEquals(LoadKeyWord(i), key, /*annotate=*/true)) {
       return i;
     }
     candidates &= candidates - 1;
@@ -269,6 +267,10 @@ uint64_t DataNode::ValueAt(int slot) const {
       .load(std::memory_order_acquire);
 }
 
+void DataNode::StoreValuePersist(int slot, uint64_t value) {
+  AtomicStorePersist(reinterpret_cast<std::atomic<uint64_t>*>(ValueSlot(slot)), value);
+}
+
 PACTREE_NO_TSAN
 int DataNode::FindSharedTail(const uint8_t* tail, size_t n,
                              uint64_t live_mask) const {
@@ -287,11 +289,11 @@ int DataNode::FindSharedTail(const uint8_t* tail, size_t n,
   return -1;
 }
 
-// Suffix placement for a slot. Sharing scan: an UPDATE of a live key
-// re-fills a fresh slot with the same bytes, and without sharing every such
-// churn would leak one arena tail until the next compaction. Only arena-form
-// slots in |live_mask| are candidates -- a dead slot's word may point at bytes
-// a past compaction has reclaimed.
+// Suffix placement for a slot. Sharing scan: a key whose arena tail equals a
+// live slot's (keys that differ only in their first suffix bytes) points at
+// that copy instead of appending another. Only arena-form slots in
+// |live_mask| are candidates -- a dead slot's word may point at bytes a past
+// compaction has reclaimed.
 PACTREE_NO_TSAN
 uint64_t DataNode::PlaceSuffix(const Key& key, uint64_t live_mask,
                                uint16_t* arena_lo, uint16_t* arena_hi) {

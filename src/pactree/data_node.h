@@ -1,11 +1,15 @@
 // PACTree data node (paper Figure 8): a B+-tree-style slotted leaf.
 //
 // 64 unsorted key-value slots; an 8-byte valid bitmap whose atomic persisted
-// update is the linearization AND durability point for every common-case write
-// (§5.5); a cache-line-aligned fingerprint array matched with SIMD; a
-// permutation array that is deliberately NOT persisted (selective persistence,
-// §4.4) and is regenerated on demand, version-checked; anchor key fixed at
-// creation; doubly-linked siblings.
+// update is the linearization AND durability point for every insert of a new
+// key and every remove (§5.5); a cache-line-aligned fingerprint array matched
+// with SIMD; a permutation array that is deliberately NOT persisted (selective
+// persistence, §4.4) and is regenerated on demand, version-checked; anchor key
+// fixed at creation; doubly-linked siblings. An overwrite of a live key
+// commits at its value-word store instead: one aligned 8-B store persisted
+// under the node's write lock (StoreValuePersist), which is durably
+// linearizable on its own (RECIPE, arXiv 1909.13670), so it never touches the
+// bitmap, the fingerprints or the arena.
 //
 // The node is 2048 B = 8 XPLines (DESIGN.md §6i). The paper's node stores a
 // full 36-B Key per slot in 3072 B; this one does not. Every key in a node is
@@ -124,6 +128,11 @@ struct DataNode {
   const uint64_t* ValueSlot(int slot) const { return &slots[slot].value; }
   // Acquire-load of the slot value (optimistic-reader idiom).
   uint64_t ValueAt(int slot) const;
+  // Overwrites live |slot|'s value word: one aligned 8-B store, persisted
+  // with one fence. Key word, fingerprint, arena and bitmap stay as they are.
+  // The caller holds the write lock, so optimistic readers that saw either
+  // word fail validation until it drops.
+  void StoreValuePersist(int slot, uint64_t value);
 
   // Writes slot contents + fingerprint and persists them (bitmap untouched:
   // callers flip the bit afterwards as the linearization point). The caller
@@ -197,8 +206,10 @@ struct DataNode {
   // Key-word internals (data_node.cc).
   uint64_t LoadKeyWord(int slot) const;
   void StoreKeyWord(int slot, uint64_t kw);
-  // True when key word |kw| of this node encodes exactly |key|.
-  bool KeyWordEquals(uint64_t kw, const Key& key) const;
+  // True when key word |kw| of this node encodes exactly |key|. With
+  // |annotate|, the arena tail is charged as a media read when the compare
+  // reaches it (after length, anchor prefix and head matched).
+  bool KeyWordEquals(uint64_t kw, const Key& key, bool annotate = false) const;
   // Length of the prefix |key| shares with the anchor (capped at its size).
   size_t AnchorPrefixLen(const Key& key) const { return SharedPrefixLen(anchor, key); }
   static size_t SharedPrefixLen(const Key& anchor, const Key& key);

@@ -522,31 +522,41 @@ Status PacTree::Insert(const Key& key, uint64_t value) {
       stat_retries_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    int existing = node->FindKey(key, fingerprint);
-    int free = node->FindFreeSlot();
-    if (free < 0 || !node->SuffixRoomFor(key)) {
+    if (int existing = node->FindKey(key, fingerprint); existing >= 0) {
+      OverwriteAndUnlock(node, existing, value);
+      return Status::kExists;
+    }
+    if (node->FindFreeSlot() < 0 || !node->SuffixRoomFor(key)) {
       if (!MakeRoomLocked(&node, key)) {
         // Data pool exhausted: the split unwound completely (log entry
         // cancelled, both layers untouched); release the lock and fail.
         node->lock.WriteUnlock();
         return Status::kFull;
       }
-      existing = node->FindKey(key, fingerprint);
-      free = node->FindFreeSlot();
-      assert(free >= 0 && "MakeRoomLocked guarantees a free slot");
     }
+    const int free = node->FindFreeSlot();
+    assert(free >= 0 && "MakeRoomLocked guarantees a free slot");
     node->FillSlot(free, key, fingerprint, value);
-    uint64_t bm = node->Bitmap() | (1ULL << free);
-    if (existing >= 0) {
-      bm &= ~(1ULL << existing);  // old and new flipped in one atomic store
-    }
-    node->PublishBitmap(bm);
+    node->PublishBitmap(node->Bitmap() | (1ULL << free));
     if (!opts_.selective_persistence) {
       MaintainPermutation(node);
     }
     node->lock.WriteUnlock();
-    return existing >= 0 ? Status::kExists : Status::kOk;
+    return Status::kOk;
   }
+}
+
+// |slot| was found by a FindKey under the write lock (Insert) or under the
+// read token that TryUpgrade has just turned into it (Update, CasValueBase).
+// A successful upgrade proves no writer locked the node since that token was
+// taken, so the probe read a stable node and the slot still holds the key:
+// no second probe. Remove relies on the same argument.
+void PacTree::OverwriteAndUnlock(DataNode* node, int slot, uint64_t value) {
+  node->StoreValuePersist(slot, value);
+  if (!opts_.selective_persistence) {
+    MaintainPermutation(node);
+  }
+  node->lock.WriteUnlock();
 }
 
 Status PacTree::Update(const Key& key, uint64_t value) {
@@ -575,33 +585,7 @@ Status PacTree::Update(const Key& key, uint64_t value) {
       stat_retries_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    existing = node->FindKey(key, fingerprint);
-    if (existing < 0) {
-      node->lock.WriteUnlock();
-      return Status::kNotFound;
-    }
-    int free = node->FindFreeSlot();
-    if (free < 0 || !node->SuffixRoomFor(key)) {
-      if (!MakeRoomLocked(&node, key)) {
-        node->lock.WriteUnlock();
-        return Status::kFull;  // split unwound; see Insert
-      }
-      // The key was present under the lock, so it lives in the half that now
-      // owns it; MakeRoomLocked guarantees a free slot there.
-      existing = node->FindKey(key, fingerprint);
-      free = node->FindFreeSlot();
-    }
-    if (existing < 0 || free < 0) {
-      node->lock.WriteUnlock();
-      return Status::kNotFound;  // defensive: invariant violated
-    }
-    node->FillSlot(free, key, fingerprint, value);
-    uint64_t bm = (node->Bitmap() | (1ULL << free)) & ~(1ULL << existing);
-    node->PublishBitmap(bm);
-    if (!opts_.selective_persistence) {
-      MaintainPermutation(node);
-    }
-    node->lock.WriteUnlock();
+    OverwriteAndUnlock(node, existing, value);
     return Status::kOk;
   }
 }
@@ -632,11 +616,7 @@ Status PacTree::Remove(const Key& key) {
       stat_retries_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    slot = node->FindKey(key, fingerprint);
-    if (slot < 0) {
-      node->lock.WriteUnlock();
-      return Status::kNotFound;
-    }
+    // |slot| is still the key's: see OverwriteAndUnlock.
     node->PublishBitmap(node->Bitmap() & ~(1ULL << slot));
     if (!opts_.selective_persistence) {
       MaintainPermutation(node);

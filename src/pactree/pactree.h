@@ -176,8 +176,10 @@ class PacTree : private AbsorbSink, private ValueGcSink {
 
   // Upsert: kOk = fresh insert, kExists = value overwritten.
   Status Insert(const Key& key, uint64_t value);
-  // Update only (kNotFound when absent). The paper's update writes the new
-  // value to a fresh slot and flips both bitmap bits in one atomic store.
+  // Update only (kNotFound when absent). Like an overwriting Insert, it
+  // stores and persists the slot's 8-B value word in place under the node's
+  // write lock (the paper's update fills a fresh slot and flips two bitmap
+  // bits); an overwrite never splits and allocates nothing.
   Status Update(const Key& key, uint64_t value);
   Status Lookup(const Key& key, uint64_t* value) const;
   Status Remove(const Key& key);
@@ -340,8 +342,9 @@ class PacTree : private AbsorbSink, private ValueGcSink {
   bool CurrentValueHandle(const Key& key, uint64_t* handle) const override;
   bool CasValueHandle(const Key& key, uint64_t old_handle,
                       uint64_t new_handle) override;
-  // The no-absorb half of CasValueHandle. False when the key no longer maps
-  // to |old_handle| or a needed split failed on kFull (GC unwinds).
+  // The no-absorb half of CasValueHandle: an in-place overwrite of the
+  // key's value word. False when the key no longer maps to |old_handle| or
+  // the tree is degraded (GC unwinds).
   bool CasValueBase(const Key& key, uint64_t old_handle, uint64_t new_handle);
   // Write-path hygiene when the value tier is on: retire the key's current
   // log record from the live accounting and evict its cache entry. Racy by
@@ -371,6 +374,11 @@ class PacTree : private AbsorbSink, private ValueGcSink {
   void TryMergeLocked(DataNode* node);
 
   void MaintainPermutation(DataNode* node);  // !selective_persistence mode
+
+  // Commits an overwrite of live |slot| of the write-locked |node| (value-
+  // word persist; permutation upkeep in !selective_persistence mode) and
+  // releases the lock. |slot| comes from the caller's pre-upgrade FindKey.
+  void OverwriteAndUnlock(DataNode* node, int slot, uint64_t value);
 
   PacTreeOptions opts_;
   std::unique_ptr<PmemHeap> search_heap_;

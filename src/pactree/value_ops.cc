@@ -240,35 +240,10 @@ bool PacTree::CasValueBase(const Key& key, uint64_t old_handle,
       stat_retries_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    existing = node->FindKey(key, fingerprint);
-    if (existing < 0 || node->ValueAt(existing) != old_handle) {
-      node->lock.WriteUnlock();
-      return false;  // changed between validate and upgrade
-    }
-    int free = node->FindFreeSlot();
-    if (free < 0 || !node->SuffixRoomFor(key)) {
-      if (!MakeRoomLocked(&node, key)) {
-        // Data pool exhausted: report failure so GC aborts its pass cleanly
-        // (the segment stays kSealed and is re-collected once space returns).
-        node->lock.WriteUnlock();
-        return false;
-      }
-      existing = node->FindKey(key, fingerprint);
-      free = node->FindFreeSlot();
-      if (existing < 0 || free < 0) {
-        node->lock.WriteUnlock();
-        return false;  // defensive: invariant violated
-      }
-    }
-    // Same publish discipline as Update: new slot filled, then both bitmap
-    // bits flipped in one atomic store -- crash-atomic handle swing.
-    node->FillSlot(free, key, fingerprint, new_handle);
-    node->PublishBitmap((node->Bitmap() | (1ULL << free)) &
-                        ~(1ULL << existing));
-    if (!opts_.selective_persistence) {
-      MaintainPermutation(node);
-    }
-    node->lock.WriteUnlock();
+    // The compare above held under the token the upgrade consumed, so the
+    // swing is the slot's value-word persist: it allocates nothing and
+    // cannot fail on a full pool.
+    OverwriteAndUnlock(node, existing, new_handle);
     return true;
   }
 }

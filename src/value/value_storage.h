@@ -11,8 +11,8 @@
 // inline-vs-log tag).
 //
 // Durability chain for an acknowledged InsertValue: segment header fence ->
-// record fence -> index insert fence (node bitmap publish or absorb log
-// append). Each arrow is program order across PersistFences, so recovery can
+// record fence -> index insert fence (node bitmap publish for a new key,
+// value-word persist for an overwrite, or absorb log append). Each arrow is program order across PersistFences, so recovery can
 // trust: a handle the recovered index maps MUST dereference to a valid,
 // checksummed record. The reverse implication does not hold -- a record whose
 // index insert never became durable is garbage -- which is why recovery
@@ -140,10 +140,10 @@ class ValueGcSink {
   // maps |key| to. False when the key is absent or mapped to an inline value.
   virtual bool CurrentValueHandle(const Key& key, uint64_t* handle) const = 0;
   // Atomically re-points |key| from |old_handle| to |new_handle| -- durable
-  // before returning true (an absorb log append or a node bitmap publish).
-  // False when the index no longer maps key to old_handle, or when the swing
-  // cannot be performed right now (frozen absorb shard, pool exhaustion); GC
-  // treats false as "leave the old record alone".
+  // before returning true (an absorb log append or the key's value-word
+  // persist). False when the index no longer maps key to old_handle, or when
+  // the swing cannot be performed right now (frozen absorb shard, degraded
+  // index); GC treats false as "leave the old record alone".
   virtual bool CasValueHandle(const Key& key, uint64_t old_handle,
                               uint64_t new_handle) = 0;
 };

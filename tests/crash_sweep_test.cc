@@ -12,8 +12,9 @@
 //   chaos  -- plus random cache-line evictions at the crash instant;
 //   torn   -- the event-K line/fence commits partially (8 B atomicity).
 //
-// Traces: PACTree single insert, leaf split, leaf merge, and delete, plus an
-// insert-that-splits trace for each baseline (FastFair, FP-Tree, BzTree).
+// Traces: PACTree single insert, in-place update, leaf split, leaf merge, and
+// delete, plus an insert-that-splits trace for each baseline (FastFair,
+// FP-Tree, BzTree).
 // Single-threaded with synchronous SMO application, so the event numbering is
 // identical run to run and the sweep is genuinely exhaustive.
 #include <fcntl.h>
@@ -379,12 +380,11 @@ TEST_F(CrashSweepTest, PacTreeSharedTailSplit) {
 }
 
 TEST_F(CrashSweepTest, PacTreeUpdate) {
-  // An out-of-place overwrite of a live key: the update fills a free
-  // slot with the same key -- a fresh 16-B record whose arena-form key word
-  // shares the live slot's arena tail -- then flips both
-  // bitmap bits in one store. Every crash point must recover the key with
-  // exactly its old or its new value, and the shared tail must still read
-  // back for whichever slot survived.
+  // An in-place overwrite of a live arena-form key: the update stores its
+  // slot's 8-B value word and persists it, touching neither the key word,
+  // the arena nor the bitmap. Every crash point (a torn line commits whole
+  // 8-B words) must recover the key with exactly its old or its new value,
+  // and every other key intact.
   SweepScenario sc;
   sc.setup = [](RangeIndex* idx, RecoveryExpectation* exp) {
     for (uint64_t i = 1; i <= 8; ++i) {
@@ -396,6 +396,25 @@ TEST_F(CrashSweepTest, PacTreeUpdate) {
     idx->Update(ArenaKey(5), 555);
     exp->acked.erase(ArenaKey(5));
     exp->updating[ArenaKey(5)] = {5, 555};
+  };
+  SweepAllModes(IndexKind::kPacTree, sc);
+}
+
+TEST_F(CrashSweepTest, PacTreeUpdateFullNode) {
+  // An overwrite in a data node whose 64 slots are all live. An update that
+  // needed a free slot split such a node; the in-place overwrite persists
+  // one value word and never splits. Every crash point must recover the key
+  // with exactly its old or its new value, and the other 63 keys intact.
+  SweepScenario sc;
+  sc.setup = [](RangeIndex* idx, RecoveryExpectation* exp) {
+    for (uint64_t i = 1; i <= 64; ++i) {
+      InsertAcked(idx, exp, i * 10, i * 10 + 1);
+    }
+  };
+  sc.window = [](RangeIndex* idx, RecoveryExpectation* exp) {
+    idx->Update(Key::FromInt(320), 999);
+    exp->acked.erase(Key::FromInt(320));
+    exp->updating[Key::FromInt(320)] = {321, 999};
   };
   SweepAllModes(IndexKind::kPacTree, sc);
 }
@@ -414,10 +433,10 @@ TEST_F(CrashSweepTest, PacTreeInlineKeyUpdate) {
   // string keys (ArenaKey, 24 arena bytes each). As in
   // PacTreeCompactArenaCompaction, 16 live string keys plus 16 churned ones
   // leave the arena cursor at 768. The window first overwrites an inline key
-  // out of place (a fresh record whose key word needs no arena bytes, then
-  // both bitmap bits flip), then inserts a string key, which finds no arena
-  // room and compacts: only the arena-form words' offsets swing, the inline
-  // words stay as they are. Every crash point must recover every key intact.
+  // in place (its slot's value word is stored and persisted; the key word
+  // stays), then inserts a string key, which finds no arena room and
+  // compacts: only the arena-form words' offsets swing, the inline words
+  // stay as they are. Every crash point must recover every key intact.
   SweepScenario sc;
   sc.setup = [](RangeIndex* idx, RecoveryExpectation* exp) {
     for (uint64_t i = 0; i < 4; ++i) {

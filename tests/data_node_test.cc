@@ -436,25 +436,35 @@ TEST_F(DataNodeTest, ArenaCompactionReclaimsDeadSuffixes) {
   }
 }
 
-TEST_F(DataNodeTest, UpdateChurnSharesSuffixesInsteadOfLeaking) {
+// The overwrite protocol: a live key's new value is stored into its own
+// slot's value word, one 8-B store persisted by one flush and one fence. The
+// record, the fingerprint, the arena and the bitmap never change, so update
+// churn neither consumes slots nor leaks arena tails.
+TEST_F(DataNodeTest, OverwriteChurnStoresTheValueWordInPlace) {
   const Key anchor = Key::FromString("a/");
   ResetNode(anchor);
   Key k = Key::FromString("a/the-same-long-suffix-bytes");
   node_->FillSlot(0, k, k.Fingerprint(), 0);
   node_->PublishBitmap(1);
-  const uint16_t after_first = node_->arena_cursor;
-  // Update protocol: fill a fresh slot with the same key, flip both bits.
-  int cur = 0;
-  for (int round = 0; round < 200; ++round) {
-    int next = cur ^ 1;
-    ASSERT_TRUE(node_->SuffixRoomFor(k));
-    node_->FillSlot(next, k, k.Fingerprint(), round);
-    node_->PublishBitmap(1ULL << next);
-    cur = next;
+  const DataNode::Slot record = node_->slots[0];
+  const uint8_t fp = node_->fp[0];
+  const uint16_t cursor = node_->arena_cursor;
+  ASSERT_GT(cursor, 0) << "the key is arena-form";
+  NvmThreadCounters& pool = LocalNvmCounters(heap_->pool(0)->pool_id());
+  const uint64_t flushes = pool.flushes.load();
+  const uint64_t fences = LocalNvmCounters().fences.load();
+  for (uint64_t round = 1; round <= 200; ++round) {
+    node_->StoreValuePersist(0, round);
+    ASSERT_EQ(node_->ValueAt(0), round);
   }
-  // The live identical suffix was shared every round: zero arena growth.
-  EXPECT_EQ(node_->arena_cursor, after_first);
-  EXPECT_EQ(node_->KeyAt(cur), k);
+  EXPECT_EQ(pool.flushes.load() - flushes, 200u);
+  EXPECT_EQ(LocalNvmCounters().fences.load() - fences, 200u);
+  EXPECT_EQ(node_->Bitmap(), 1u);
+  EXPECT_EQ(node_->slots[0].kw, record.kw);
+  EXPECT_EQ(node_->fp[0], fp);
+  EXPECT_EQ(node_->arena_cursor, cursor);
+  EXPECT_EQ(node_->FindKey(k, k.Fingerprint()), 0);
+  EXPECT_EQ(node_->KeyAt(0), k);
 }
 
 TEST_F(DataNodeTest, SuffixRoomForReportsSharingAndExhaustion) {

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/common/compiler.h"
+#include "src/common/failpoint.h"
 #include "src/common/random.h"
 #include "src/nvm/config.h"
 #include "src/nvm/persist.h"
@@ -425,6 +426,186 @@ TEST_F(PacTreeTest, SlotFullSplitOfSharedTailKeysFitsTheNewArena) {
   check_all();
   Reopen();
   check_all();
+}
+
+// The head data node: every key of the single-node trees below lives there.
+DataNode* HeadNode(PacTree* tree) {
+  uint64_t raw = 0;
+  EXPECT_EQ(tree->search_layer()->Lookup(Key::Min(), &raw), Status::kOk);
+  return PPtr<DataNode>(raw).get();
+}
+
+// An overwrite stores the new value into the key's own slot: Update and an
+// overwriting Insert leave the slot index, the bitmap, the fingerprint, the
+// key word and the arena cursor as they were.
+TEST_F(PacTreeTest, OverwriteKeepsTheSlotRecordAndArena) {
+  for (uint64_t i = 1; i <= 8; ++i) {
+    ASSERT_EQ(tree_->Insert(ChurnKey(i), i), Status::kOk);
+  }
+  DataNode* node = HeadNode(tree_.get());
+  const Key k = ChurnKey(5);
+  const int slot = node->FindKey(k, k.Fingerprint());
+  ASSERT_GE(slot, 0);
+  const uint64_t bitmap = node->Bitmap();
+  const uint64_t kw = node->slots[slot].kw;
+  const uint8_t fp = node->fp[slot];
+  const uint16_t cursor = node->arena_cursor;
+  ASSERT_GT(cursor, 0) << "ChurnKey suffixes are arena-form";
+  auto expect_in_place = [&](uint64_t want) {
+    EXPECT_EQ(node->FindKey(k, k.Fingerprint()), slot);
+    EXPECT_EQ(node->Bitmap(), bitmap);
+    EXPECT_EQ(node->slots[slot].kw, kw);
+    EXPECT_EQ(node->fp[slot], fp);
+    EXPECT_EQ(node->arena_cursor, cursor);
+    uint64_t v = 0;
+    ASSERT_EQ(tree_->Lookup(k, &v), Status::kOk);
+    EXPECT_EQ(v, want);
+  };
+  ASSERT_EQ(tree_->Update(k, 555), Status::kOk);
+  expect_in_place(555);
+  ASSERT_EQ(tree_->Insert(k, 556), Status::kExists);
+  expect_in_place(556);
+  EXPECT_EQ(tree_->Stats().splits, 0u);
+  std::string why;
+  EXPECT_TRUE(tree_->CheckInvariants(&why)) << why;
+}
+
+// A node with all 64 slots live takes overwrites without a split: they need
+// no free slot.
+TEST_F(PacTreeTest, OverwriteInAFullNodeDoesNotSplit) {
+  for (uint64_t i = 1; i <= kDataNodeEntries; ++i) {
+    ASSERT_EQ(tree_->Insert(Key::FromInt(i), i), Status::kOk);
+  }
+  ASSERT_EQ(HeadNode(tree_.get())->CountLive(), 64);
+  ASSERT_EQ(tree_->Stats().splits, 0u);
+  for (uint64_t round = 0; round < 3; ++round) {
+    for (uint64_t i = 1; i <= kDataNodeEntries; ++i) {
+      ASSERT_EQ(tree_->Update(Key::FromInt(i), 1000 * round + i), Status::kOk);
+      ASSERT_EQ(tree_->Insert(Key::FromInt(i), 2000 * round + i), Status::kExists);
+    }
+  }
+  EXPECT_EQ(tree_->Stats().splits, 0u);
+  for (uint64_t i = 1; i <= kDataNodeEntries; ++i) {
+    uint64_t v = 0;
+    ASSERT_EQ(tree_->Lookup(Key::FromInt(i), &v), Status::kOk);
+    EXPECT_EQ(v, 4000 + i);
+  }
+}
+
+// A value-GC handle swing is an in-place overwrite too, so it allocates
+// nothing: it succeeds in a full node while every pool allocation on the
+// collecting thread fails.
+TEST_F(PacTreeTest, ValueGcSwingSucceedsWhileAllocationFails) {
+  tree_.reset();
+  EpochManager::Instance().DrainAll();
+  PacTree::Destroy(opts_.name);
+  opts_.value_storage = true;
+  opts_.value_segment_size = 32 << 10;  // ~31 records of 1 KiB per segment
+  opts_.value_arenas = 1;
+  opts_.async_search_update = false;  // no GC service: the test drives GC
+  tree_ = PacTree::Open(opts_);
+  ASSERT_NE(tree_, nullptr);
+  auto big = [](uint64_t seed) { return std::string(1000, static_cast<char>('a' + seed % 26)); };
+  // Key 1 holds the one live record of the first segment; keys 2..64 fill
+  // the head node. Overwriting key 2 with log records fills that segment
+  // with dead copies, seals it and leaves a second segment with room.
+  ASSERT_EQ(tree_->InsertValue(Key::FromInt(1), big(1)), Status::kOk);
+  for (uint64_t i = 2; i <= kDataNodeEntries; ++i) {
+    ASSERT_EQ(tree_->InsertValue(Key::FromInt(i), "v"), Status::kOk);
+  }
+  for (uint64_t r = 0; r < 35; ++r) {
+    ASSERT_EQ(tree_->InsertValue(Key::FromInt(2), big(r)), Status::kExists);
+  }
+  ASSERT_EQ(HeadNode(tree_.get())->CountLive(), 64);
+  ASSERT_EQ(tree_->Stats().splits, 0u);
+  uint64_t old_handle = 0;
+  ASSERT_EQ(tree_->Lookup(Key::FromInt(1), &old_handle), Status::kOk);
+
+  FailPoints::Arm("pmem/alloc", FailPointTrigger::EveryNth(1));
+  const size_t items = tree_->CompactValues();
+  const uint64_t failed_allocs = FailPoints::TriggerCount("pmem/alloc");
+  FailPoints::Disarm("pmem/alloc");
+
+  EXPECT_EQ(failed_allocs, 0u) << "the pass tried to allocate";
+  const PacTreeStats st = tree_->Stats();
+  EXPECT_EQ(st.value.gc_segments_compacted, 1u);
+  EXPECT_EQ(items, 2u) << "one record relocated, one segment retired";
+  EXPECT_EQ(st.splits, 0u);
+  uint64_t new_handle = 0;
+  ASSERT_EQ(tree_->Lookup(Key::FromInt(1), &new_handle), Status::kOk);
+  EXPECT_NE(new_handle, old_handle);
+  std::string got;
+  ASSERT_EQ(tree_->LookupValue(Key::FromInt(1), &got), Status::kOk);
+  EXPECT_EQ(got, big(1));
+  ASSERT_EQ(tree_->LookupValue(Key::FromInt(2), &got), Status::kOk);
+  EXPECT_EQ(got, big(34));
+  std::string why;
+  EXPECT_TRUE(tree_->CheckInvariants(&why)) << why;
+}
+
+// Two updaters overwrite a few hot keys (Update and overwriting Insert)
+// while two readers look them up and scan them: every value read is one
+// some writer wrote to that key. A value carries its key in the high half.
+TEST_F(PacTreeTest, ConcurrentOverwritesReadWrittenValues) {
+  constexpr uint64_t kHot = 6;
+  constexpr uint64_t kWrites = 20000;
+  auto tag = [](uint64_t key, uint64_t writer, uint64_t seq) {
+    return key << 32 | writer << 24 | seq;
+  };
+  for (uint64_t k = 1; k <= kHot; ++k) {
+    ASSERT_EQ(tree_->Insert(Key::FromInt(k), tag(k, 0, 0)), Status::kOk);
+  }
+  auto written = [&](uint64_t key, uint64_t v) {
+    return v >> 32 == key && (v >> 24 & 0xff) <= 2 && (v & 0xffffff) < kWrites;
+  };
+  std::atomic<int> writers_left{2};
+  std::atomic<uint64_t> bad{0};
+  std::atomic<uint64_t> reads{0};
+  std::vector<std::thread> threads;
+  for (uint64_t w = 1; w <= 2; ++w) {
+    threads.emplace_back([&, w] {
+      Rng rng(w);
+      for (uint64_t seq = 0; seq < kWrites; ++seq) {
+        const uint64_t k = 1 + rng.Uniform(kHot);
+        const Status s = seq % 2 == 0 ? tree_->Update(Key::FromInt(k), tag(k, w, seq))
+                                      : tree_->Insert(Key::FromInt(k), tag(k, w, seq));
+        if (s != (seq % 2 == 0 ? Status::kOk : Status::kExists)) {
+          bad.fetch_add(1);
+        }
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  for (uint64_t r = 0; r < 2; ++r) {
+    threads.emplace_back([&, r] {
+      Rng rng(100 + r);
+      std::vector<std::pair<Key, uint64_t>> out;
+      do {
+        const uint64_t k = 1 + rng.Uniform(kHot);
+        uint64_t v = 0;
+        if (tree_->Lookup(Key::FromInt(k), &v) != Status::kOk || !written(k, v)) {
+          bad.fetch_add(1);
+        }
+        if (tree_->Scan(Key::FromInt(1), kHot, &out) != kHot) {
+          bad.fetch_add(1);
+        }
+        for (const auto& [key, value] : out) {
+          if (!written(key.ToInt(), value)) {
+            bad.fetch_add(1);
+          }
+        }
+        reads.fetch_add(1);
+      } while (writers_left.load() > 0);
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_EQ(tree_->Stats().splits, 0u);
+  std::string why;
+  EXPECT_TRUE(tree_->CheckInvariants(&why)) << why;
 }
 
 // Every byte of the index's pool files (single pool per heap).
