@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "src/absorb/absorb.h"
 #include "src/common/env.h"
 #include "src/index/range_index.h"
 #include "src/nvm/config.h"
@@ -55,9 +54,6 @@ inline constexpr bool BenchSimdFingerprints() {
 //                 rerun reproduces the same thread-to-CPU map.
 //   --updaters=N  run N PACTree background updater services (also settable
 //                 via PAC_UPDATERS; default is one per logical NUMA node).
-//   --absorb      route PACTree writes through the DRAM absorb buffer
-//                 (src/absorb): per-NUMA shards + persistent op-log, batched
-//                 sorted drains (also enabled by PAC_ABSORB=1).
 //   --batch=N     drive read-heavy YCSB phases through the batched read
 //                 pipeline: lookups buffer into MultiGet(N) and scans into
 //                 MultiScan(N) (also settable via PAC_BATCH).
@@ -75,16 +71,16 @@ inline constexpr bool BenchSimdFingerprints() {
 //
 // Fault-injection / pressure env knobs (env-only; see DESIGN.md §6g):
 //   PAC_FAILPOINTS        arm allocation fail points for the run, e.g.
-//                         "pmem/alloc=hit:100;absorb/ring_full=prob:0.001".
+//                         "pmem/alloc=hit:100;smo/ring_full=prob:0.001".
 //                         Triggers: hit:N (N-th hit), every:N, prob:P[:seed].
 //   PAC_PRESSURE_SOFT/HARD/RESUME
 //                         pool-pressure watermarks in percent (defaults
-//                         85/95/90): soft kicks emergency absorb drains, hard
+//                         85/95/90): soft kicks value GC, hard
 //                         flips the tree read-only (writes return kFull),
 //                         resume re-enables writes once usage falls back.
 inline void ParseBenchFlags(int argc, char** argv) {
   static constexpr const char* kKnownFlags =
-      "--pin --updaters=N --absorb --batch=N --json=PATH --value-size=N|mix";
+      "--pin --updaters=N --batch=N --json=PATH --value-size=N|mix";
   bool pin = EnvU64("PAC_PIN", 0) != 0;
   BenchReadBatch() = std::max<uint64_t>(1, EnvU64("PAC_BATCH", 1));
   for (int i = 1; i < argc; ++i) {
@@ -95,8 +91,6 @@ inline void ParseBenchFlags(int argc, char** argv) {
       // Indexes read PAC_UPDATERS at Open; routing the flag through the env
       // var keeps one resolution path for flag, env, and library callers.
       setenv("PAC_UPDATERS", arg.substr(11).c_str(), 1);
-    } else if (arg == "--absorb") {
-      setenv("PAC_ABSORB", "1", 1);  // same env-var resolution path
     } else if (arg.rfind("--batch=", 0) == 0) {
       BenchReadBatch() = std::max<uint64_t>(1, std::strtoull(arg.substr(8).c_str(), nullptr, 10));
     } else if (arg.rfind("--value-size=", 0) == 0) {
@@ -173,11 +167,10 @@ inline void Banner(const char* fig, const char* what) {
   std::printf("# scale: PAC_KEYS / PAC_OPS / PAC_THREADS environment variables\n");
   // A/B hygiene: numbers are meaningless without knowing whether the SIMD
   // fingerprint probe was compiled in and how the run was configured.
-  std::printf("# config: fingerprints=%s pin=%d absorb=%s updaters=%s batch=%llu "
+  std::printf("# config: fingerprints=%s pin=%d updaters=%s batch=%llu "
               "value_size=%s\n",
               BenchSimdFingerprints() ? "avx2" : "scalar",
               BenchPinEnabled() ? 1 : 0,
-              EnvU64("PAC_ABSORB", 0) != 0 ? "on" : "off",
               EnvStr("PAC_UPDATERS", "auto").c_str(),
               static_cast<unsigned long long>(BenchReadBatch()),
               EnvStr("PAC_VALUE_SIZE", "off").c_str());
@@ -244,7 +237,6 @@ inline void BenchJsonWrite(const char* bench) {
   JsonRow config;
   config.Str("fingerprints", BenchSimdFingerprints() ? "avx2" : "scalar")
       .U64("pin", BenchPinEnabled() ? 1 : 0)
-      .U64("absorb", EnvU64("PAC_ABSORB", 0) != 0 ? 1 : 0)
       .Str("updaters", EnvStr("PAC_UPDATERS", "auto"))
       .U64("batch", BenchReadBatch())
       .Str("value_size", EnvStr("PAC_VALUE_SIZE", "off"));
@@ -318,23 +310,6 @@ inline void PrintMaintenanceStats(const std::string& prefix = "") {
         static_cast<unsigned long long>(s.drains),
         s.pass_latency.Percentile(50) / 1e3, s.pass_latency.Percentile(99) / 1e3);
   }
-  std::fflush(stdout);
-}
-
-// Write-absorption counter report (companion to the per-service rows above,
-// which cover the drain services themselves via prefix "<name>/absorb").
-// All-zero when absorb is off.
-inline void PrintAbsorbStats(const AbsorbStats& a) {
-  std::printf(
-      "# absorb staged=%llu drained=%llu batches=%llu lookup_hits=%llu "
-      "ring_full_waits=%llu replayed=%llu pending=%llu\n",
-      static_cast<unsigned long long>(a.staged),
-      static_cast<unsigned long long>(a.drained),
-      static_cast<unsigned long long>(a.batches),
-      static_cast<unsigned long long>(a.lookup_hits),
-      static_cast<unsigned long long>(a.ring_full_waits),
-      static_cast<unsigned long long>(a.replayed),
-      static_cast<unsigned long long>(a.pending));
   std::fflush(stdout);
 }
 

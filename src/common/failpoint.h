@@ -13,13 +13,12 @@
 //   heap/fallback     PmemHeap cross-NUMA fallback loop (fires = local-only)
 //   smo/ring_full     SmoUpdater::Log ring-full check (forces one
 //                     backpressure round)
-//   absorb/ring_full  AbsorbBuffer::WaitRingSpace (forces one full round)
 //   pmwcas/descriptor PmwcasPool::Acquire (simulates descriptor exhaustion)
 //
 // Configuration:
 //   - Programmatic: FailPoints::Arm("pmem/alloc", FailPointTrigger::NthHit(3)).
-//   - Environment:  PAC_FAILPOINTS="pmem/alloc=hit:3;smo/ring_full=every:10;
-//                   absorb/ring_full=prob:0.01:42" parsed at process start
+//   - Environment:  PAC_FAILPOINTS="pmem/alloc=hit:3;smo/ring_full=prob:0.01:42"
+//                   parsed at process start
 //                   (env-armed sites are process-scoped, not thread-scoped).
 //
 // Counters: every armed site counts hits (evaluations that passed the thread

@@ -94,10 +94,6 @@ class PacTreeIndex : public RangeIndex {
     field("multiscan_shared_nodes", s.multiscan_shared_nodes);
     field("multiscan_walks_saved", s.multiscan_walks_saved);
     field("arena_compactions", s.arena_compactions);
-    field("absorb_staged", s.absorb.staged);
-    field("absorb_drained", s.absorb.drained);
-    field("absorb_lookup_hits", s.absorb.lookup_hits);
-    field("absorb_apply_full", s.absorb.apply_full);
     // Exhaustion / degraded-mode visibility.
     field("degraded", s.degraded ? 1 : 0);
     field("write_rejects", s.write_rejects);
@@ -132,11 +128,7 @@ class PacTreeIndex : public RangeIndex {
     j += "]}";
     return j;
   }
-  void Drain() override {
-    // Absorb first: drained batches may log SMOs.
-    tree_->DrainAbsorb();
-    tree_->DrainSmoLogs();
-  }
+  void Drain() override { tree_->DrainSmoLogs(); }
   bool CheckInvariants(std::string* why) const override {
     return tree_->CheckInvariants(why);
   }
@@ -150,7 +142,7 @@ class PacTreeIndex : public RangeIndex {
     return n;
   }
   bool OperationLogsDrained() const override {
-    return tree_->SmoLogsDrained() && tree_->AbsorbDrained();
+    return tree_->SmoLogsDrained();
   }
   std::vector<PmemHeap*> Heaps() const override {
     std::vector<PmemHeap*> heaps = {tree_->search_heap(), tree_->data_heap(),
@@ -294,7 +286,6 @@ std::unique_ptr<RangeIndex> CreateIndex(IndexKind kind, const IndexFactoryOption
       o.dram_search_layer = opts.pactree_dram_search_layer;
       o.per_numa_pools = opts.per_numa_pools;
       o.updater_count = opts.pactree_updaters;
-      o.absorb_writes = opts.pactree_absorb_writes;
       o.value_storage = opts.pactree_value_storage;
       if (opts.pactree_value_cache_bytes != ~size_t{0}) {
         o.value_cache_bytes = opts.pactree_value_cache_bytes;

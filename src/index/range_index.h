@@ -39,8 +39,8 @@ class RangeIndex {
   // filled on kOk. Duplicate and out-of-order keys are allowed. Returns the
   // number of keys found. The default loops over Lookup, so every index works
   // through the batch harness unchanged; PACTree overrides it with a real
-  // pipeline (batched absorb routing, one epoch for the batch, node-grouped
-  // probing -- see src/pactree/multiget.cc).
+  // pipeline (one epoch for the batch, node-grouped probing -- see
+  // src/pactree/multiget.cc).
   virtual size_t MultiGet(std::span<const Key> keys, uint64_t* values,
                           Status* statuses) const {
     size_t found = 0;
@@ -185,9 +185,6 @@ struct IndexFactoryOptions {
   // Background updater services (0 = auto: PAC_UPDATERS env var if set, else
   // one per logical NUMA node).
   uint32_t pactree_updaters = 0;
-  // Route writes through the DRAM absorb buffer (src/absorb); also enabled by
-  // PAC_ABSORB=1 (the bench --absorb flag).
-  bool pactree_absorb_writes = false;
   // Tiered value storage (src/value): log-structured value heap + DRAM
   // hot-value cache behind InsertValue/LookupValue. Also enabled by
   // PAC_VALUESTORE=1 (the bench --value-size flag sets it). ~0 cache bytes =

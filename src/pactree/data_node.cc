@@ -361,8 +361,10 @@ void DataNode::FillSlot(int slot, const Key& key, uint8_t fingerprint, uint64_t 
 
 PACTREE_NO_TSAN
 void DataNode::StageSlot(int slot, const Key& key, uint8_t fingerprint,
-                         uint64_t value, uint16_t* arena_lo, uint16_t* arena_hi) {
-  const uint64_t kw = PlaceSuffix(key, Bitmap(), arena_lo, arena_hi);
+                         uint64_t value) {
+  uint16_t lo = kArenaBytes;
+  uint16_t hi = 0;
+  const uint64_t kw = PlaceSuffix(key, Bitmap(), &lo, &hi);
   if (kw == kNoArenaRoom) {
     ArenaOverflow("StageSlot");
   }

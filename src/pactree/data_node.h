@@ -142,12 +142,8 @@ struct DataNode {
   // the recovered cursor.
   void FillSlot(int slot, const Key& key, uint8_t fingerprint, uint64_t value);
 
-  // FillSlot without any persist (absorb drains coalesce flushes; split builds
-  // persist the whole node once). Arena bytes consumed here are reported
-  // through |arena_lo|/|arena_hi| (dirty watermark, grown in place) so the
-  // caller can flush them together with the slot.
-  void StageSlot(int slot, const Key& key, uint8_t fingerprint, uint64_t value,
-                 uint16_t* arena_lo, uint16_t* arena_hi);
+  // FillSlot without any persist (a split build persists the whole node once).
+  void StageSlot(int slot, const Key& key, uint8_t fingerprint, uint64_t value);
 
   // Arena bytes |key| takes in this node when no live copy is shared: 0 when
   // its suffix past the anchor-shared prefix fits the key word whole (<= 7 B),

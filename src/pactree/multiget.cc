@@ -1,27 +1,23 @@
 // Batched point-read pipeline (DESIGN.md §6f).
 //
-// PacTree::Lookup pays three per-key costs: an absorb shard-lock, an
-// EpochGuard enter/exit, and an ART descent followed by a version-validated
-// data-node probe. MultiGet amortizes all three across a batch:
+// PacTree::Lookup pays two per-key costs: an EpochGuard enter/exit, and an
+// ART descent followed by a version-validated data-node probe. MultiGet
+// amortizes both across a batch:
 //
-//   Stage 1 -- absorb routing: AbsorbBuffer::MultiLookup routes every key to
-//   its owning shard and takes each involved shard's mutex ONCE, answering
-//   staged values and tombstones exactly as the per-key Lookup would.
-//
-//   Stage 2 -- floor resolution: ONE EpochGuard covers the rest of the batch.
-//   The remaining (miss) keys are sorted and their ART floors resolved in a
-//   software-pipelined loop: before resolving key j, key j+1's trie path is
-//   prefetched (PdlArt::PrefetchFloorPath -> AnnotateNvmPrefetch warms the
-//   modeled XPLine cache without stalling). The trie's leaves are the data
+//   Stage 1 -- floor resolution: ONE EpochGuard covers the batch. The keys
+//   are sorted and their ART floors resolved in a software-pipelined loop:
+//   before resolving key j, key j+1's trie path is prefetched
+//   (PdlArt::PrefetchFloorPath -> AnnotateNvmPrefetch warms the modeled
+//   XPLine cache without stalling). The trie's leaves are the data
 //   nodes, so that prefetch already covers the floor node's metadata/anchor/
 //   fingerprint XPLine; only the next group's probe span is prefetched
-//   separately in stage 3. One key's worth of work always sits between a
+//   separately in stage 2. One key's worth of work always sits between a
 //   prefetch and its use, which is the overlap window the non-stalling
 //   prefetch model assumes.
 //
-//   Stage 3 -- node-grouped probing: because the miss keys are sorted, keys
-//   owned by one data node are contiguous. Each group jump-walks once
-//   (JumpWalk re-uses the stage-2 floor as its start), reads the sibling's
+//   Stage 2 -- node-grouped probing: because the keys are sorted, keys owned
+//   by one data node are contiguous. Each group jump-walks once (JumpWalk
+//   re-uses the stage-1 floor as its start), reads the sibling's
 //   anchor as the group's upper bound, fingerprint-probes every key of the
 //   group, and validates the node version ONCE. Validation failure retries
 //   that group only.
@@ -31,7 +27,7 @@
 // reading next->anchor before validation is safe; if a concurrent split or
 // merge changed the linkage after JumpWalk's token was taken, the single
 // Validate fails and the group re-walks. This is exactly the optimistic
-// read protocol of LookupBase, applied once per group instead of per key.
+// read protocol of Lookup, applied once per group instead of per key.
 #include <algorithm>
 #include <atomic>
 #include <numeric>
@@ -60,41 +56,14 @@ size_t PacTree::MultiGet(std::span<const Key> keys, uint64_t* values,
     st = local_status.data();
   }
 
-  // --- stage 1: absorb routing --------------------------------------------
-  size_t found = 0;
-  std::vector<size_t> miss;
-  miss.reserve(n);
-  if (absorb_ != nullptr) {
-    std::vector<AbsorbBuffer::Hit> hits(n);
-    absorb_->MultiLookup(keys, hits.data(), values);
-    for (size_t i = 0; i < n; ++i) {
-      switch (hits[i]) {
-        case AbsorbBuffer::Hit::kValue:
-          st[i] = Status::kOk;
-          ++found;
-          break;
-        case AbsorbBuffer::Hit::kTombstone:
-          st[i] = Status::kNotFound;
-          break;
-        case AbsorbBuffer::Hit::kMiss:
-          miss.push_back(i);
-          break;
-      }
-    }
-  } else {
-    miss.resize(n);
-    std::iota(miss.begin(), miss.end(), size_t{0});
-  }
-  if (miss.empty()) {
-    return found;
-  }
-
   stat_epoch_enters_.fetch_add(1, std::memory_order_relaxed);
   EpochGuard guard;
 
-  // Sort the misses by key (ties by position, so duplicate keys resolve
+  // Sort the batch by key (ties by position, so duplicate keys resolve
   // deterministically and stay adjacent within their group).
-  std::sort(miss.begin(), miss.end(), [&keys](size_t a, size_t b) {
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&keys](size_t a, size_t b) {
     if (keys[a] < keys[b]) {
       return true;
     }
@@ -104,39 +73,40 @@ size_t PacTree::MultiGet(std::span<const Key> keys, uint64_t* values,
     return a < b;
   });
 
-  // --- stage 2: software-pipelined floor resolution ------------------------
-  // floor[j] = trie floor node for keys[miss[j]] (JumpWalk's start). The
+  // --- stage 1: software-pipelined floor resolution ------------------------
+  // floor[j] = trie floor node for keys[order[j]] (JumpWalk's start). The
   // first key's descent runs cold; every later descent runs against the
   // lines its predecessor's iteration prefetched.
-  std::vector<DataNode*> floor(miss.size());
-  for (size_t j = 0; j < miss.size(); ++j) {
-    if (j + 1 < miss.size()) {
-      art_->PrefetchFloorPath(keys[miss[j + 1]]);
+  std::vector<DataNode*> floor(order.size());
+  for (size_t j = 0; j < order.size(); ++j) {
+    if (j + 1 < order.size()) {
+      art_->PrefetchFloorPath(keys[order[j + 1]]);
     }
     Key fkey;
     uint64_t raw = 0;
     DataNode* node = nullptr;
-    if (art_->LookupFloorNoGuard(keys[miss[j]], &fkey, &raw) == Status::kOk &&
+    if (art_->LookupFloorNoGuard(keys[order[j]], &fkey, &raw) == Status::kOk &&
         raw != 0) {
       node = PPtr<DataNode>(raw).get();
     } else {
       node = PPtr<DataNode>(root_->head_raw).get();
     }
     // The floor read this node's header line as its trie leaf (and the line
-    // was prefetched as the leaf of the previous iteration's path), so stage 3
+    // was prefetched as the leaf of the previous iteration's path), so stage 2
     // finds it warm.
     floor[j] = node;
   }
 
-  // --- stage 3: node-grouped probing ---------------------------------------
+  // --- stage 2: node-grouped probing ---------------------------------------
+  size_t found = 0;
   struct Probe {
     uint64_t value;
     bool hit;
   };
   std::vector<Probe> probe;
   size_t g = 0;
-  while (g < miss.size()) {
-    const Key& gkey = keys[miss[g]];
+  while (g < order.size()) {
+    const Key& gkey = keys[order[g]];
     while (true) {
       uint64_t version;
       DataNode* node = JumpWalk(floor[g], gkey, &version);
@@ -145,13 +115,13 @@ size_t PacTree::MultiGet(std::span<const Key> keys, uint64_t* values,
       uint64_t next_raw = node->NextRaw();
       DataNode* next = PPtr<DataNode>(next_raw).get();
       size_t gend = g + 1;
-      while (gend < miss.size() &&
-             (next == nullptr || keys[miss[gend]] < next->anchor)) {
+      while (gend < order.size() &&
+             (next == nullptr || keys[order[gend]] < next->anchor)) {
         ++gend;
       }
       probe.resize(gend - g);
       for (size_t j = g; j < gend; ++j) {
-        const Key& k = keys[miss[j]];
+        const Key& k = keys[order[j]];
         int slot = node->FindKey(k, k.Fingerprint());
         uint64_t v = 0;
         if (slot >= 0) {
@@ -167,7 +137,7 @@ size_t PacTree::MultiGet(std::span<const Key> keys, uint64_t* values,
       }
       stat_multiget_node_groups_.fetch_add(1, std::memory_order_relaxed);
       for (size_t j = g; j < gend; ++j) {
-        size_t i = miss[j];
+        size_t i = order[j];
         if (probe[j - g].hit) {
           st[i] = Status::kOk;
           if (values != nullptr) {
@@ -178,7 +148,7 @@ size_t PacTree::MultiGet(std::span<const Key> keys, uint64_t* values,
           st[i] = Status::kNotFound;
         }
       }
-      if (gend < miss.size()) {
+      if (gend < order.size()) {
         floor[gend]->PrefetchProbe();  // overlap the next group's walk
       }
       g = gend;
@@ -197,10 +167,9 @@ size_t PacTree::MultiGet(std::span<const Key> keys, uint64_t* values,
 //
 // A range joins the walk ("activates") exactly when the walk reaches the node
 // an independent Scan would have started at -- its start precedes the right
-// sibling's anchor -- and leaves once it has collected its over-fetched want
-// (count + staged tombstones, as in Scan). When no range is consuming, the
-// walk jumps ahead through the trie instead of dragging across unconsumed
-// siblings. Validation failure re-locates from the current node's span start
+// sibling's anchor -- and leaves once it has collected its count. When no
+// range is consuming, the walk jumps ahead through the trie instead of
+// dragging across unconsumed siblings. Validation failure re-locates from the current node's span start
 // and re-reads; a per-range duplicate guard (strictly-ascending emission)
 // makes re-reads idempotent.
 void PacTree::MultiScan(std::span<const Key> starts, std::span<const size_t> counts,
@@ -223,22 +192,13 @@ void PacTree::MultiScan(std::span<const Key> starts, std::span<const size_t> cou
     return a < b;
   });
 
-  // ONE staged-op snapshot serves every range (Scan does one CollectFrom per
-  // call): collected from the smallest start, filtered per range by the
-  // shared merge helpers.
-  std::map<Key, AbsorbPending> pending;
-  if (absorb_ != nullptr) {
-    absorb_->CollectFrom(starts[order[0]], &pending);
-  }
-  std::vector<size_t> want(n);
-  for (size_t r = 0; r < n; ++r) {
-    want[r] = counts[r] + StagedTombstonesFrom(pending, starts[r]);
-  }
-
   stat_epoch_enters_.fetch_add(1, std::memory_order_relaxed);
   EpochGuard guard;
 
-  std::vector<std::vector<std::pair<Key, uint64_t>>> base(n);
+  auto& results = *out;
+  for (auto& r : results) {
+    r.clear();
+  }
   std::vector<size_t> active;  // ranges consuming the walk, unordered
   size_t next_act = 0;         // next |order| position awaiting activation
   uint64_t shared_nodes = 0;
@@ -279,20 +239,20 @@ void PacTree::MultiScan(std::span<const Key> starts, std::span<const size_t> cou
     size_t consumers = 0;
     for (size_t idx = 0; idx < active.size();) {
       const size_t r = active[idx];
-      if (base[r].size() < want[r]) {
+      if (results[r].size() < counts[r]) {
         ++consumers;
-        for (size_t i = 0; i < batch_n && base[r].size() < want[r]; ++i) {
+        for (size_t i = 0; i < batch_n && results[r].size() < counts[r]; ++i) {
           const auto& e = batch[i];
           if (e.first < starts[r]) {
             continue;
           }
-          if (!base[r].empty() && !(base[r].back().first < e.first)) {
+          if (!results[r].empty() && !(results[r].back().first < e.first)) {
             continue;  // validation-retry re-read: already emitted
           }
-          base[r].push_back(e);
+          results[r].push_back(e);
         }
       }
-      if (base[r].size() >= want[r]) {
+      if (results[r].size() >= counts[r]) {
         active[idx] = active.back();  // done: drop from the walk
         active.pop_back();
       } else {
@@ -331,17 +291,6 @@ void PacTree::MultiScan(std::span<const Key> starts, std::span<const size_t> cou
   }
   stat_multiscan_shared_nodes_.fetch_add(shared_nodes, std::memory_order_relaxed);
   stat_multiscan_walks_saved_.fetch_add(walks_saved, std::memory_order_relaxed);
-
-  for (size_t r = 0; r < n; ++r) {
-    if (absorb_ != nullptr) {
-      MergeStagedScan(pending, starts[r], base[r], counts[r], &(*out)[r]);
-    } else {
-      if (base[r].size() > counts[r]) {
-        base[r].resize(counts[r]);
-      }
-      (*out)[r] = std::move(base[r]);
-    }
-  }
 }
 
 }  // namespace pactree

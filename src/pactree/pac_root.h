@@ -5,7 +5,6 @@
 
 #include <cstdint>
 
-#include "src/absorb/absorb.h"
 #include "src/art/art.h"
 #include "src/pactree/pactree.h"
 #include "src/pactree/smo_log.h"
@@ -24,11 +23,6 @@ struct PacTree::PacRoot {
   uint64_t value_mode;
   uint64_t pad[5];
   uint64_t log_raws[kMaxWriterSlots];
-  // Absorb op-log rings (log heap), allocated lazily the first time the index
-  // opens with absorb_writes on; 0 = never allocated. Recovery replays every
-  // non-null ring regardless of the current option/shard count -- a ring can
-  // hold acked ops from an incarnation configured differently.
-  uint64_t absorb_raws[kAbsorbMaxShards];
   ArtTreeRoot art;
 };
 

@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
-#include <map>
 
 #include "src/common/compiler.h"
 #include "src/common/env.h"
@@ -26,10 +25,11 @@ namespace {
 // from "PACTREE2" on, trie leaves are the data nodes themselves; "PACTREE3"
 // slot records hold a 4-B descriptor and 4 suffix bytes; "PACTREE4" nodes
 // carry a format byte and may be 3072-B full-key nodes; "PACTREE5" nodes are
-// all the one 2048-B layout of data_node.h. Pools of another layout are
-// refused, never converted or wiped.
+// all the one 2048-B layout of data_node.h, and the root holds op-log rings
+// of a DRAM write buffer that may carry acked ops; "PACTREE6" roots drop
+// those rings. Pools of another layout are refused, never converted or wiped.
 constexpr uint64_t kPacMagicStem = 0x0045455254434150ULL;  // "PACTREE" + digit
-constexpr char kPacLayoutDigit = '5';
+constexpr char kPacLayoutDigit = '6';
 constexpr uint64_t kPacMagic = kPacMagicStem | uint64_t{kPacLayoutDigit} << 56;
 // The search layer's leaves are the data nodes: a leaf's key is its anchor.
 constexpr int kTrieLeafKeyOffset = offsetof(DataNode, anchor);
@@ -46,15 +46,6 @@ uint32_t ResolveUpdaterCount(const PacTreeOptions& opts) {
     n = std::max<uint32_t>(1, GlobalNvmConfig().numa_nodes);
   }
   return static_cast<uint32_t>(std::min<uint64_t>(n, kMaxWriterSlots));
-}
-
-// Absorb shard count: explicit option, else one per logical NUMA node.
-uint32_t ResolveAbsorbShards(const PacTreeOptions& opts) {
-  uint64_t n = opts.absorb_shards;
-  if (n == 0) {
-    n = std::max<uint32_t>(1, GlobalNvmConfig().numa_nodes);
-  }
-  return static_cast<uint32_t>(std::min<uint64_t>(n, kAbsorbMaxShards));
 }
 }  // namespace
 
@@ -85,9 +76,6 @@ void PacTree::Destroy(const std::string& name) {
 bool PacTree::Init(const PacTreeOptions& opts, Status* why) {
   static_assert(sizeof(PacRoot) <= kRootAreaSize, "root area too small");
   opts_ = opts;
-  if (!opts_.absorb_writes && EnvU64("PAC_ABSORB", 0) != 0) {
-    opts_.absorb_writes = true;  // bench --absorb routes through the env var
-  }
   // Pressure watermark overrides, in percent (PAC_PRESSURE_HARD=95 -> 0.95).
   if (uint64_t v = EnvU64("PAC_PRESSURE_SOFT", 0); v != 0) {
     opts_.pressure_soft = static_cast<double>(v) / 100.0;
@@ -258,61 +246,12 @@ bool PacTree::Init(const PacTreeOptions& opts, Status* why) {
 
   // Recovery replays the rings single-threaded, then resets them; only after
   // that do the per-shard updater services (and the shared epoch-reclaim
-  // service) come up. This includes replaying every non-null absorb op-log
-  // ring, independent of this incarnation's absorb configuration.
+  // service) come up.
   Recover();
 
-  if (opts_.absorb_writes) {
-    AbsorbOptions ao;
-    ao.name = opts_.name;
-    ao.shards = ResolveAbsorbShards(opts_);
-    ao.ring_capacity = opts_.absorb_ring_capacity;
-    ao.drain_batch = opts_.absorb_drain_batch;
-    ao.async = opts_.async_search_update;
-    absorb_ = std::make_unique<AbsorbBuffer>(ao, static_cast<AbsorbSink*>(this));
-    for (uint32_t i = 0; i < absorb_->shards(); ++i) {
-      if (root_->absorb_raws[i] == 0) {
-        PPtr<void> ring = log_heap_->AllocTo(ToPPtr(&root_->absorb_raws[i]),
-                                             sizeof(AbsorbLogRing));
-        if (ring.IsNull()) {
-          return false;
-        }
-        // The allocator zeroes DRAM but does not persist it: stale media bytes
-        // from a previously freed block could otherwise resurrect entries with
-        // valid checksums on recovery. Make the zeroed ring durable once.
-        PersistFence(ring.get(), sizeof(AbsorbLogRing));
-      }
-      absorb_->AttachRing(i, PPtr<AbsorbLogRing>(root_->absorb_raws[i]).get());
-    }
-    if (absorb_replay_incomplete_) {
-      // Recovery's temp-buffer replay left at least one ring un-zeroed after
-      // its apply attempts failed (pool exhaustion). Give the live buffer one
-      // more try before services start: rings the temp replay did reset are
-      // empty and contribute nothing, so nothing double-applies. On failure
-      // the live shards freeze -- appends are refused, staging serves reads --
-      // and the rings keep the acked ops durable for the next recovery.
-      bool complete = true;
-      absorb_replayed_ += absorb_->ReplayAndReset(&complete);
-      updater_->Drain();  // replayed batches may have logged SMOs
-      if (complete) {
-        absorb_replay_incomplete_ = false;
-      }
-    }
-    absorb_->StartServices();
-  }
-  if (absorb_replay_incomplete_) {
-    // Acked-but-unapplied ops survive only in the un-zeroed rings; new writes
-    // must not be admitted against state that cannot become durable (with
-    // absorb off there is not even a staging view of the stranded ops).
-    // Pin read-only degraded mode for the life of this incarnation.
-    degraded_.store(true, std::memory_order_relaxed);
-    degraded_pinned_ = true;
-  }
-
   if (vstore_ != nullptr) {
-    // Live-fraction rebuild must see the fully recovered key index (data layer
-    // + replayed/staged absorb view); only then can GC services start, since
-    // they pick victims by live fraction.
+    // Live-fraction rebuild must see the fully recovered key index; only then
+    // can GC services start, since they pick victims by live fraction.
     RebuildValueLiveCounts();
     if (opts_.async_search_update) {
       vstore_->StartServices();
@@ -347,19 +286,14 @@ PacTree::~PacTree() {
     MaintenanceRegistry::Instance().Unregister(pressure_service_);
     pressure_service_ = nullptr;
   }
-  // Value GC relocates handles through the absorb buffer / index, so it must
-  // stop while both are still fully alive.
+  // Value GC relocates handles through the index, so it must stop while the
+  // index is still fully alive.
   if (vstore_ != nullptr) {
     vstore_->StopServices();
   }
-  // Quiesce front-to-back: absorb drains first (its batches log SMOs), then
-  // the SMO logs, while all services are still live (CV barriers; inline
-  // replay in sync mode). Only then tear the services down and release the
-  // shared epoch-reclaim service.
-  if (absorb_ != nullptr) {
-    DrainAbsorb();
-    absorb_->StopServices();
-  }
+  // Drain the SMO logs while the updater services are still live (CV
+  // barrier; inline replay in sync mode). Only then tear the services down
+  // and release the shared epoch-reclaim service.
   DrainSmoLogs();
   updater_->StopServices();
   if (opts_.async_search_update) {
@@ -373,16 +307,6 @@ PacTree::~PacTree() {
 void PacTree::DrainSmoLogs() { updater_->Drain(); }
 
 bool PacTree::SmoLogsDrained() const { return updater_->Drained(); }
-
-void PacTree::DrainAbsorb() {
-  if (absorb_ != nullptr) {
-    absorb_->Drain();
-  }
-}
-
-bool PacTree::AbsorbDrained() const {
-  return absorb_ == nullptr || absorb_->Drained();
-}
 
 // ---------------------------------------------------------------------------
 // Data-layer navigation (jump-node fix-up, §5.3)
@@ -448,26 +372,6 @@ DataNode* PacTree::JumpWalk(DataNode* start, const Key& key, uint64_t* version) 
 // ---------------------------------------------------------------------------
 
 Status PacTree::Lookup(const Key& key, uint64_t* value) const {
-  if (absorb_ != nullptr) {
-    // The owning shard's staging area holds the freshest acked write for this
-    // key (if any); a staged tombstone masks the data layer.
-    uint64_t v = 0;
-    switch (absorb_->Lookup(key, &v)) {
-      case AbsorbBuffer::Hit::kValue:
-        if (value != nullptr) {
-          *value = v;
-        }
-        return Status::kOk;
-      case AbsorbBuffer::Hit::kTombstone:
-        return Status::kNotFound;
-      case AbsorbBuffer::Hit::kMiss:
-        break;
-    }
-  }
-  return LookupBase(key, value);
-}
-
-Status PacTree::LookupBase(const Key& key, uint64_t* value) const {
   stat_epoch_enters_.fetch_add(1, std::memory_order_relaxed);
   EpochGuard guard;
   uint8_t fingerprint = key.Fingerprint();
@@ -510,9 +414,6 @@ Status PacTree::Insert(const Key& key, uint64_t value) {
     return Status::kFull;  // read-only degraded mode: fail fast, no side effects
   }
   PreWriteValueHygiene(key);
-  if (absorb_ != nullptr) {
-    return absorb_->Insert(key, value);
-  }
   EpochGuard guard;
   uint8_t fingerprint = key.Fingerprint();
   while (true) {
@@ -547,7 +448,7 @@ Status PacTree::Insert(const Key& key, uint64_t value) {
 }
 
 // |slot| was found by a FindKey under the write lock (Insert) or under the
-// read token that TryUpgrade has just turned into it (Update, CasValueBase).
+// read token that TryUpgrade has just turned into it (Update, CasValueHandle).
 // A successful upgrade proves no writer locked the node since that token was
 // taken, so the probe read a stable node and the slot still holds the key:
 // no second probe. Remove relies on the same argument.
@@ -565,9 +466,6 @@ Status PacTree::Update(const Key& key, uint64_t value) {
     return Status::kFull;  // read-only degraded mode: fail fast, no side effects
   }
   PreWriteValueHygiene(key);
-  if (absorb_ != nullptr) {
-    return absorb_->Update(key, value);
-  }
   EpochGuard guard;
   uint8_t fingerprint = key.Fingerprint();
   while (true) {
@@ -593,12 +491,8 @@ Status PacTree::Update(const Key& key, uint64_t value) {
 Status PacTree::Remove(const Key& key) {
   // Deliberately NOT gated on degraded mode: deletes allocate nothing (merges
   // log SMOs into pre-allocated rings) and are the caller's only way to shrink
-  // the tree back below the resume watermark. Frozen absorb shards still
-  // refuse the append (kFull) via WaitRingSpace.
+  // the tree back below the resume watermark.
   PreWriteValueHygiene(key);
-  if (absorb_ != nullptr) {
-    return absorb_->Remove(key);
-  }
   EpochGuard guard;
   uint8_t fingerprint = key.Fingerprint();
   while (true) {
@@ -707,13 +601,10 @@ DataNode* PacTree::SplitLocked(DataNode* node, const Key& key) {
   new_node->prev_raw = ToPPtr(node).Cast<void>().raw;
   uint64_t moved_bits = 0;
   uint64_t new_bitmap = 0;
-  uint16_t arena_lo = 0;
-  uint16_t arena_hi = 0;
   for (int i = m; i < n; ++i) {
     int src = order[i];
     int dst = i - m;
-    new_node->StageSlot(dst, keys[i], node->fp[src], node->ValueAt(src),
-                        &arena_lo, &arena_hi);
+    new_node->StageSlot(dst, keys[i], node->fp[src], node->ValueAt(src));
     moved_bits |= 1ULL << src;
     new_bitmap |= 1ULL << dst;
   }
@@ -879,79 +770,6 @@ void PacTree::TryMergeLocked(DataNode* node) {
 
 size_t PacTree::Scan(const Key& start, size_t count,
                      std::vector<std::pair<Key, uint64_t>>* out) const {
-  if (absorb_ == nullptr) {
-    return ScanBase(start, count, out);
-  }
-  // Merge the absorb shards' staged ops with the data layer. Snapshot the
-  // staging first: an op that drains between the snapshot and the base scan
-  // then appears in both streams, and the equal-key dedupe in the merge
-  // (staging wins) still emits it exactly once. Over-fetch the base scan by
-  // the staged tombstone count so each tombstone can mask one base key and
-  // the merge can still produce |count| results.
-  std::map<Key, AbsorbPending> pending;
-  absorb_->CollectFrom(start, &pending);
-  std::vector<std::pair<Key, uint64_t>> base;
-  ScanBase(start, count + StagedTombstonesFrom(pending, start), &base);
-  return MergeStagedScan(pending, start, base, count, out);
-}
-
-size_t PacTree::StagedTombstonesFrom(const std::map<Key, AbsorbPending>& pending,
-                                     const Key& start) {
-  size_t tomb = 0;
-  for (auto it = pending.lower_bound(start); it != pending.end(); ++it) {
-    if (it->second.tombstone) {
-      ++tomb;
-    }
-  }
-  return tomb;
-}
-
-size_t PacTree::MergeStagedScan(const std::map<Key, AbsorbPending>& pending,
-                                const Key& start,
-                                const std::vector<std::pair<Key, uint64_t>>& base,
-                                size_t count,
-                                std::vector<std::pair<Key, uint64_t>>* out) {
-  // |base| must be a data-layer scan from |start| that over-fetched by
-  // StagedTombstonesFrom(pending, start) -- the window math below relies on it.
-  // When the base scan filled its window there may be further data-layer keys
-  // just past base.back(); a staged-only key beyond that point cannot be
-  // emitted without skipping them.
-  const size_t want = count + StagedTombstonesFrom(pending, start);
-  const bool have_limit = base.size() == want && !base.empty();
-  const Key limit = have_limit ? base.back().first : Key();
-
-  out->clear();
-  auto it = pending.lower_bound(start);
-  size_t bi = 0;
-  while (out->size() < count && (it != pending.end() || bi < base.size())) {
-    bool take_pending;
-    if (it == pending.end()) {
-      take_pending = false;
-    } else if (bi >= base.size()) {
-      take_pending = true;
-    } else {
-      take_pending = !(base[bi].first < it->first);
-    }
-    if (take_pending) {
-      if (bi < base.size() && !(it->first < base[bi].first)) {
-        ++bi;  // same key surfaced by the base scan: the staged op supersedes
-      } else if (bi >= base.size() && have_limit && limit < it->first) {
-        break;  // staged-only key beyond the truncated base window
-      }
-      if (!it->second.tombstone) {
-        out->push_back({it->first, it->second.value});
-      }
-      ++it;
-    } else {
-      out->push_back(base[bi]);
-      ++bi;
-    }
-  }
-  return out->size();
-}
-
-size_t PacTree::ScanBase(const Key& start, size_t count,
-                         std::vector<std::pair<Key, uint64_t>>* out) const {
   stat_epoch_enters_.fetch_add(1, std::memory_order_relaxed);
   EpochGuard guard;
   out->clear();
@@ -1017,19 +835,9 @@ void PacTree::PollPressure() {
   if (vstore_ != nullptr) {
     used = std::max(used, vstore_->MaxUsedFraction());
   }
-  if (used >= opts_.pressure_soft && absorb_ != nullptr) {
-    // Emergency drain kick: flushing staged writes while chunks remain beats
-    // stranding them in rings past the hard watermark.
-    for (BackgroundService* s : absorb_->services()) {
-      s->Notify();
-    }
-  }
   if (used >= opts_.pressure_soft && vstore_ != nullptr) {
     // Compacting low-live segments is the only way the value heap sheds bytes.
     vstore_->KickGc();
-  }
-  if (degraded_pinned_) {
-    return;  // incomplete-replay degradation never clears (see Init)
   }
   const bool degraded = degraded_.load(std::memory_order_relaxed);
   if (!degraded && used >= opts_.pressure_hard) {
@@ -1051,20 +859,6 @@ uint64_t PacTree::Size() const {
       total += static_cast<uint64_t>(node->CountLive());
     }
     node = node->Next();
-  }
-  if (absorb_ != nullptr) {
-    // Staged ops not yet drained: an upsert of a key absent from the data
-    // layer adds one, a tombstone of a present key removes one.
-    std::map<Key, AbsorbPending> pending;
-    absorb_->CollectFrom(Key::Min(), &pending);
-    for (const auto& [k, p] : pending) {
-      const bool in_base = LookupBase(k, nullptr) == Status::kOk;
-      if (p.tombstone && in_base) {
-        --total;
-      } else if (!p.tombstone && !in_base) {
-        ++total;
-      }
-    }
   }
   return total;
 }
@@ -1169,12 +963,6 @@ PacTreeStats PacTree::Stats() const {
   s.multiscan_walks_saved =
       stat_multiscan_walks_saved_.load(std::memory_order_relaxed);
   s.arena_compactions = stat_arena_compactions_.load(std::memory_order_relaxed);
-  if (absorb_ != nullptr) {
-    s.absorb = absorb_->Stats();
-  }
-  // Recovery replays through a temporary buffer (see recovery.cc) whose
-  // counters die with it; the replay count is carried here.
-  s.absorb.replayed += absorb_replayed_;
   s.degraded = degraded_.load(std::memory_order_relaxed);
   s.write_rejects = stat_write_rejects_.load(std::memory_order_relaxed);
   s.split_alloc_failures =

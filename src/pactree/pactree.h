@@ -21,13 +21,11 @@
 #define PACTREE_SRC_PACTREE_PACTREE_H_
 
 #include <atomic>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "src/absorb/absorb.h"
 #include "src/art/art.h"
 #include "src/common/key.h"
 #include "src/common/status.h"
@@ -63,26 +61,12 @@ struct PacTreeOptions {
   // writer-side backpressure without logging thousands of SMOs.
   size_t smo_ring_capacity = kSmoLogEntries;
 
-  // Write absorption (src/absorb): route Insert/Update/Remove through per-NUMA
-  // DRAM absorb shards backed by persistent op-log rings; drain services apply
-  // key-sorted batches to the data layer, coalescing media writes. Also
-  // enabled by PAC_ABSORB=1 (the bench --absorb flag).
-  bool absorb_writes = false;
-  // Absorb shard count. 0 = auto: one per logical NUMA node. Clamped to
-  // [1, kAbsorbMaxShards].
-  uint32_t absorb_shards = 0;
-  // Effective absorb ring capacity (<= kAbsorbLogEntries); tests shrink it to
-  // exercise writer-side backpressure.
-  size_t absorb_ring_capacity = kAbsorbLogEntries;
-  // Max ops an absorb drain pass pulls off one shard's ring.
-  size_t absorb_drain_batch = 128;
-
   // Pool-pressure watermarks, as fractions of chunk capacity; the signal is
   // the *highest* sub-pool used-fraction across the data and log heaps (one
   // exhausted sub-pool stalls writers even when siblings have room). Past
-  // |pressure_soft| the pressure service kicks absorb drains (emptying rings
-  // is the only reclaim writers cannot do themselves); past |pressure_hard|
-  // the tree enters read-only degraded mode -- Insert/Update fail fast with
+  // |pressure_soft| the pressure service kicks value GC (compaction is the
+  // only way the value heap sheds bytes); past |pressure_hard| the tree
+  // enters read-only degraded mode -- Insert/Update fail fast with
   // kFull while lookups, scans, MultiGet, and Remove keep serving -- until
   // the used fraction falls back to |pressure_resume|. Env overrides:
   // PAC_PRESSURE_SOFT / PAC_PRESSURE_HARD / PAC_PRESSURE_RESUME (percent,
@@ -143,8 +127,9 @@ struct PacTreeStats {
   // Suffix-arena compactions (in-place dead-suffix reclaims that made room
   // without a split).
   uint64_t arena_compactions = 0;
-  // Write-absorption counters (all zero when absorb_writes is off).
-  AbsorbStats absorb;
+  // A constant kept only for bench/e2e's oracle, which checks that nothing
+  // is staged in DRAM; it goes with e2e's absorb check.
+  struct { uint64_t staged = 0; } absorb;
   // Resource-exhaustion visibility (the tentpole of the robustness work).
   bool degraded = false;              // read-only degraded mode active
   uint64_t write_rejects = 0;         // writes failed fast with kFull while degraded
@@ -157,7 +142,7 @@ struct PacTreeStats {
   ValueCacheStats value_cache;
 };
 
-class PacTree : private AbsorbSink, private ValueGcSink {
+class PacTree : private ValueGcSink {
  public:
   // Opens (or creates) the index. Runs full recovery when attaching to an
   // existing instance. Returns null on failure, with the reason in |status|
@@ -188,10 +173,10 @@ class PacTree : private AbsorbSink, private ValueGcSink {
   size_t Scan(const Key& start, size_t count,
               std::vector<std::pair<Key, uint64_t>>* out) const;
 
-  // Batched point lookups (multiget.cc): one absorb pass per involved shard,
-  // ONE EpochGuard for the batch, software-pipelined ART floor resolution
-  // with path/node prefetch, and node-grouped probing that read-locks and
-  // version-validates each data node once per contiguous key group. Results
+  // Batched point lookups (multiget.cc): ONE EpochGuard for the batch,
+  // software-pipelined ART floor resolution with path/node prefetch, and
+  // node-grouped probing that read-locks and version-validates each data
+  // node once per contiguous key group. Results
   // are exactly what per-key Lookup would return; duplicate and out-of-order
   // keys are fine. Contract matches RangeIndex::MultiGet.
   size_t MultiGet(std::span<const Key> keys, uint64_t* values,
@@ -208,8 +193,7 @@ class PacTree : private AbsorbSink, private ValueGcSink {
   // inline-only behavior every index supports (<= 7 B packed into the word;
   // larger values rejected with kFull). With it on, a large value is appended
   // to the value log (durable BEFORE its handle enters the index) and the
-  // handle upserted like any u64 value -- through the absorb buffer when that
-  // is on, which is how value bytes ride the staged-op pipeline.
+  // handle upserted like any u64 value.
   Status InsertValue(const Key& key, std::string_view value);
   // Cache-first resolution: index lookup -> inline decode, or hot-value cache
   // probe keyed by (key, current handle), or log dereference (epoch-guarded,
@@ -232,21 +216,19 @@ class PacTree : private AbsorbSink, private ValueGcSink {
   // (CV drain barrier against the updater services; inline replay when they
   // are paused, stopped, or absent in sync mode).
   void DrainSmoLogs();
-  // Blocks until every absorb shard's staged ops have drained into the data
-  // layer (no-op when absorb_writes is off). Drained absorb batches may log
-  // SMOs, so callers wanting a fully-quiesced tree drain absorb first, then
-  // the SMO logs.
-  void DrainAbsorb();
+  // A no-op kept only for bench/e2e, which calls it before its checks; it
+  // goes with e2e's absorb check. Every write is durable in its data node.
+  void DrainAbsorb() {}
 
   PacTreeStats Stats() const;
 
   // True while the tree is in read-only degraded mode (pool pressure past the
-  // hard watermark, or an absorb op-log replay that could not complete).
+  // hard watermark).
   // Insert/Update return kFull immediately; reads and Remove keep serving.
   bool Degraded() const { return degraded_.load(std::memory_order_relaxed); }
   // One pressure-evaluation round: recomputes the used fraction over the data
-  // and log heaps and applies the watermark policy (soft -> kick absorb
-  // drains, hard -> enter degraded, resume -> leave degraded). Runs
+  // and log heaps and applies the watermark policy (soft -> kick value GC,
+  // hard -> enter degraded, resume -> leave degraded). Runs
   // periodically on the "<name>/pool/pressure" service in async mode and
   // inline from allocation-failure paths, so sync-mode trees still degrade.
   void PollPressure();
@@ -271,17 +253,17 @@ class PacTree : private AbsorbSink, private ValueGcSink {
   uint64_t Size() const;
 
   // Verifies data-layer invariants (anchors ordered, ranges respected,
-  // sibling links consistent). Returns false and fills |why| on violation.
+  // sibling links consistent) and, when the SMO logs are drained, that the
+  // search layer mirrors the data layer exactly. Returns false and fills
+  // |why| on violation. Precondition: a quiesced tree -- no write may run
+  // concurrently, since a split that links a node after the drained check
+  // would leave an anchor the trie does not hold yet. Callers join their
+  // writers first (and call DrainSmoLogs to get the search-layer check).
   bool CheckInvariants(std::string* why) const;
 
   // True when every SMO ring is empty (head == tail, no live entries) --
   // guaranteed immediately after Open/Recover and after DrainSmoLogs.
   bool SmoLogsDrained() const;
-  // True when no absorb op is staged (trivially true with absorb off) --
-  // guaranteed immediately after Open/Recover and after DrainAbsorb.
-  bool AbsorbDrained() const;
-  // The write-absorption buffer; null when absorb_writes is off.
-  AbsorbBuffer* absorb() const { return absorb_.get(); }
 
  private:
   struct PacRoot;  // persistent root object (defined in .cc)
@@ -304,55 +286,20 @@ class PacTree : private AbsorbSink, private ValueGcSink {
   // floors for a whole batch first, then enters here per node group.
   DataNode* JumpWalk(DataNode* start, const Key& key, uint64_t* version) const;
 
-  // Data-layer-only point lookup / scan (no absorb consult); the bodies of
-  // the public ops when absorb_writes is off.
-  Status LookupBase(const Key& key, uint64_t* value) const;
-  size_t ScanBase(const Key& start, size_t count,
-                  std::vector<std::pair<Key, uint64_t>>* out) const;
-
-  // Staged tombstones with key >= |start| (each can mask one base-scan key,
-  // so scans over-fetch the data layer by this much).
-  static size_t StagedTombstonesFrom(const std::map<Key, AbsorbPending>& pending,
-                                     const Key& start);
-  // Merges a data-layer scan window with the staged-op overlay (staging wins
-  // on equal keys; tombstones mask) into up to |count| results. |base| must
-  // be the ScanBase window of size count + StagedTombstonesFrom(start).
-  static size_t MergeStagedScan(const std::map<Key, AbsorbPending>& pending,
-                                const Key& start,
-                                const std::vector<std::pair<Key, uint64_t>>& base,
-                                size_t count,
-                                std::vector<std::pair<Key, uint64_t>>* out);
-
-  // AbsorbSink: presence checks against the data layer, and the batched
-  // drain application (absorb_apply.cc) -- per target node, one lock
-  // acquisition, coalesced slot flushes, a single bitmap publish.
-  Status AbsorbBaseLookup(const Key& key, uint64_t* value) const override {
-    return LookupBase(key, value);
-  }
-  // Returns false when a data-node allocation failed mid-batch (a split could
-  // not complete): a durable prefix of the batch may already be applied,
-  // which is safe -- re-application converges -- so the absorb buffer keeps
-  // the ops staged and retries the batch later.
-  bool AbsorbApply(const AbsorbOp* ops, size_t n) override;
-
-  // ValueGcSink (value_ops.cc): staging-aware current-handle read, and the
-  // atomic handle swing GC relocation rides on -- an absorb CompareAndSet
-  // when absorb is on (a fresh-seq upsert under the shard mutex), a
-  // compare-value node update under the write lock otherwise.
+  // ValueGcSink (value_ops.cc): the current-handle read, and the atomic
+  // handle swing GC relocation rides on -- an in-place overwrite of the key's
+  // value word under the node's write lock. The swing fails when the key no
+  // longer maps to |old_handle| or the tree is degraded (GC unwinds).
   bool CurrentValueHandle(const Key& key, uint64_t* handle) const override;
   bool CasValueHandle(const Key& key, uint64_t old_handle,
                       uint64_t new_handle) override;
-  // The no-absorb half of CasValueHandle: an in-place overwrite of the
-  // key's value word. False when the key no longer maps to |old_handle| or
-  // the tree is degraded (GC unwinds).
-  bool CasValueBase(const Key& key, uint64_t old_handle, uint64_t new_handle);
   // Write-path hygiene when the value tier is on: retire the key's current
   // log record from the live accounting and evict its cache entry. Racy by
   // design (a lost race skews live-counts conservatively; correctness rides
   // on GC's per-record CurrentValueHandle check).
   void PreWriteValueHygiene(const Key& key);
-  // Post-recovery live-count rebuild: every log handle the recovered index
-  // (data layer + any frozen absorb staging) references is live.
+  // Post-recovery live-count rebuild: every log handle the recovered data
+  // layer references is live.
   void RebuildValueLiveCounts();
 
   // Ensures the write-locked |*node| can take |key|: a free slot AND (compact
@@ -389,9 +336,6 @@ class PacTree : private AbsorbSink, private ValueGcSink {
   // SMO logging + replay: rings, writer-slot routing, backpressure, and the
   // per-NUMA updater services.
   std::unique_ptr<SmoUpdater> updater_;
-  // Write absorption (null when absorb_writes is off): per-NUMA shards with
-  // persistent op-log rings and drain services.
-  std::unique_ptr<AbsorbBuffer> absorb_;
   // Tiered value storage + DRAM hot-value cache (null when value_storage is
   // off). vstore_ owns its own heap, so destruction order vs the three index
   // heaps does not matter -- but vcache_ MUST be declared before vstore_:
@@ -400,20 +344,9 @@ class PacTree : private AbsorbSink, private ValueGcSink {
   // after the store.
   std::unique_ptr<ValueLruCache> vcache_;
   std::unique_ptr<ValueStorage> vstore_;
-  // Absorb op-log entries replayed by this incarnation's recovery.
-  uint64_t absorb_replayed_ = 0;
-  // Recovery's temp-buffer absorb replay could not fully apply some ring
-  // (search/data pool exhausted even after retries). Init gives the live
-  // absorb buffer one more replay attempt; if that also fails, the tree
-  // stays permanently degraded for this incarnation and the un-zeroed rings
-  // carry the acked ops to the next recovery.
-  bool absorb_replay_incomplete_ = false;
-  // Read-only degraded mode (see Degraded()). Set by watermark policy or an
-  // incomplete absorb replay; cleared only by the resume watermark.
+  // Read-only degraded mode (see Degraded()). Set by the hard watermark,
+  // cleared by the resume watermark.
   std::atomic<bool> degraded_{false};
-  // Degraded mode forced by incomplete replay is permanent: the resume
-  // watermark must not clear it (the stranded ops have no durable home).
-  bool degraded_pinned_ = false;
   // "<name>/pool/pressure" service (async mode only; null otherwise).
   BackgroundService* pressure_service_ = nullptr;
   // False when Init attached a pre-existing persistent search layer: trie

@@ -103,47 +103,6 @@ void PacTree::Recover() {
     log->tail = 0;
     PersistFence(log, sizeof(SmoLog));
   }
-
-  // Absorb op-log replay: every acked-but-undrained Insert/Update/Remove that
-  // went through the write-absorption buffer sits in a persistent ring hanging
-  // off the root. Replay ALL non-null rings -- regardless of this
-  // incarnation's absorb option or shard count, since the rings may come from
-  // an incarnation configured differently -- through a temporary buffer sized
-  // for every possible shard, then reset them. Replay is idempotent and
-  // seq-ordered per shard (same key always hashes to the same shard).
-  {
-    bool any = false;
-    for (size_t i = 0; i < kAbsorbMaxShards; ++i) {
-      any = any || root_->absorb_raws[i] != 0;
-    }
-    if (any) {
-      AbsorbOptions ao;
-      ao.name = opts_.name;
-      ao.shards = kAbsorbMaxShards;
-      ao.async = false;
-      AbsorbBuffer replay(ao, static_cast<AbsorbSink*>(this));
-      for (size_t i = 0; i < kAbsorbMaxShards; ++i) {
-        if (root_->absorb_raws[i] != 0) {
-          replay.AttachRing(static_cast<uint32_t>(i),
-                            PPtr<AbsorbLogRing>(root_->absorb_raws[i]).get());
-        }
-      }
-      bool complete = true;
-      absorb_replayed_ = replay.ReplayAndReset(&complete);
-      if (!complete) {
-        // Some ring's ops could not be applied (pool exhaustion): its bytes
-        // were left intact as the only durable copy. Init retries through the
-        // live absorb buffer once it attaches; if that also fails, the tree
-        // runs this incarnation in pinned degraded mode.
-        absorb_replay_incomplete_ = true;
-      }
-      // Replayed batches can log SMOs (splits/merges); in async mode those
-      // would otherwise wait for the services that have not started yet, and
-      // VerifyRecoveredIndex-style callers expect a fully-drained tree right
-      // after Open. Recovery is single-threaded: drain inline.
-      updater_->Drain();
-    }
-  }
 }
 
 void PacTree::RecoverSplit(SmoLogEntry* e) {

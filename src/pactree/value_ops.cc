@@ -5,13 +5,11 @@
 // handle, and all interpretation of that word lives in this file.
 #include <cassert>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "src/absorb/absorb.h"
 #include "src/common/key.h"
 #include "src/common/status.h"
 #include "src/pactree/data_node.h"
@@ -192,10 +190,8 @@ size_t PacTree::CompactValues() {
 }
 
 // -----------------------------------------------------------------------------
-// ValueGcSink: GC reads the authoritative handle through the same staged view
-// writers use, and swings it with a compare-and-set that routes through the
-// absorb buffer when that is on (a fresh staged op supersedes any older staged
-// reference to the old record under seq-ordered replay/drain).
+// ValueGcSink: GC reads the authoritative handle through Lookup, and swings it
+// with a compare-and-set that overwrites the key's value word in place.
 // -----------------------------------------------------------------------------
 
 bool PacTree::CurrentValueHandle(const Key& key, uint64_t* handle) const {
@@ -212,14 +208,6 @@ bool PacTree::CurrentValueHandle(const Key& key, uint64_t* handle) const {
 
 bool PacTree::CasValueHandle(const Key& key, uint64_t old_handle,
                              uint64_t new_handle) {
-  if (absorb_ != nullptr) {
-    return absorb_->CompareAndSet(key, old_handle, new_handle);
-  }
-  return CasValueBase(key, old_handle, new_handle);
-}
-
-bool PacTree::CasValueBase(const Key& key, uint64_t old_handle,
-                           uint64_t new_handle) {
   if (degraded_.load(std::memory_order_relaxed)) {
     return false;  // GC unwinds; no writes in read-only mode
   }
@@ -270,9 +258,8 @@ void PacTree::PreWriteValueHygiene(const Key& key) {
 }
 
 void PacTree::RebuildValueLiveCounts() {
-  // Runs single-threaded in Init, after the key index is fully recovered
-  // (data layer + replayed ops) and the live absorb staging view is attached,
-  // but before any service starts. Every handle reachable through the index
+  // Runs single-threaded in Init, after the key index is fully recovered but
+  // before any service starts. Every handle reachable through the index
   // is live; everything else in the log is garbage awaiting compaction.
   DataNode* node = PPtr<DataNode>(root_->head_raw).get();
   while (node != nullptr) {
@@ -288,20 +275,6 @@ void PacTree::RebuildValueLiveCounts() {
       }
     }
     node = node->Next();
-  }
-  if (absorb_ != nullptr) {
-    // Frozen shards (incomplete replay) keep acked ops in staging; their
-    // handles are as live as published ones. Double-counting a key staged
-    // over a data-layer entry only delays GC -- the per-record check still
-    // sees the staged (current) handle and skips the superseded record.
-    std::map<Key, AbsorbPending> pending;
-    absorb_->CollectFrom(Key::Min(), &pending);
-    for (const auto& [k, p] : pending) {
-      (void)k;
-      if (!p.tombstone && !ValueHandleIsInline(p.value)) {
-        vstore_->AddLiveHandle(p.value);
-      }
-    }
   }
 }
 

@@ -189,7 +189,7 @@ class ValueLruCache {
   uint32_t ShardOf(const Key& key) const {
     uint64_t h = key.Hash();
     h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdULL;  // fold high bytes down (see AbsorbBuffer)
+    h *= 0xff51afd7ed558ccdULL;  // fold high bytes down
     h ^= h >> 33;
     return static_cast<uint32_t>(h % shards_);
   }

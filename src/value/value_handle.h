@@ -15,9 +15,9 @@
 //   [58..56]  payload length, 0..7
 //   [55..0]   payload bytes, byte 0 of the value in the LOW byte
 //
-// The encoding is what lets PACTree's node layout, SMO protocol, and absorb
-// op-log carry variable-length values untouched: they keep moving opaque
-// 8-byte words, and only the value-aware entry points interpret them.
+// The encoding is what lets PACTree's node layout and SMO protocol carry
+// variable-length values untouched: they keep moving opaque 8-byte words,
+// and only the value-aware entry points interpret them.
 #ifndef PACTREE_SRC_VALUE_VALUE_HANDLE_H_
 #define PACTREE_SRC_VALUE_VALUE_HANDLE_H_
 

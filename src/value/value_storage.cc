@@ -306,7 +306,7 @@ Status ValueStorage::Append(const Key& key, std::string_view value, uint64_t* ha
   std::memcpy(dst + sizeof(rh), key.data(), klen);
   std::memcpy(dst + sizeof(rh) + klen, value.data(), vlen);
   // The record's ONE fence. No index structure references it yet; the caller
-  // publishes the handle through the key index (or the absorb log) next, so
+  // publishes the handle through the key index next, so
   // "record durable" strictly precedes "handle durable".
   PersistFence(dst, sizeof(rh) + klen + vlen);
   *handle = seg->raw + used;
@@ -456,9 +456,8 @@ size_t ValueStorage::GcPass() {
       } else {
         MarkDead(new_handle);  // lost the race: the copy is garbage
         if (sink_->CurrentValueHandle(k, &cur) && cur == old_handle) {
-          // The index still points here but the swing was refused (frozen
-          // absorb shard, degraded tree): the record is LIVE and this
-          // segment must not be retired.
+          // The index still points here but the swing was refused (degraded
+          // tree): the record is LIVE and this segment must not be retired.
           stuck = true;
         }
       }

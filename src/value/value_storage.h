@@ -5,14 +5,14 @@
 // guidelines optimize its node layout for -- and variable-length payloads move
 // here: per-NUMA *arenas* append checksummed records into fixed-size segments
 // carved from an own PmemHeap ("<index>.value"). A write costs ONE
-// PersistFence over the record (header + key + value bytes, in the spirit of
-// the absorb op-log append); the returned handle is the record's PPtr raw,
-// which the index stores as an opaque value word (see value_handle.h for the
-// inline-vs-log tag).
+// PersistFence over the record (header + key + value bytes); the returned
+// handle is the record's PPtr raw, which the index stores as an opaque value
+// word (see value_handle.h for the inline-vs-log tag).
 //
 // Durability chain for an acknowledged InsertValue: segment header fence ->
 // record fence -> index insert fence (node bitmap publish for a new key,
-// value-word persist for an overwrite, or absorb log append). Each arrow is program order across PersistFences, so recovery can
+// value-word persist for an overwrite). Each arrow is program order across
+// PersistFences, so recovery can
 // trust: a handle the recovered index maps MUST dereference to a valid,
 // checksummed record. The reverse implication does not hold -- a record whose
 // index insert never became durable is garbage -- which is why recovery
@@ -22,7 +22,7 @@
 // GC: "<index>/value/gc-N" BackgroundServices (one per arena, NUMA-pinned)
 // pick sealed segments whose live fraction fell below a threshold and
 // relocate each still-referenced record: append a copy, then atomically swing
-// the index's handle old->new through the ValueGcSink (absorb-aware CAS).
+// the index's handle old->new through the ValueGcSink (an in-place CAS).
 // A fully-relocated segment is unlinked from the persistent directory and
 // retired through the epoch manager, so a concurrent reader that fetched a
 // handle into the segment before the swing can finish dereferencing it before
@@ -77,9 +77,8 @@ static_assert(sizeof(ValueSegmentHeader) == 64);
 // collapses to "record never happened" -- only ever the fate of an
 // unacknowledged write, by the durability chain above. |seg_seq| must match
 // the containing segment's header seq: it fences off stale-but-checksummed
-// record bytes left on media by a previously freed block (same trick as the
-// absorb ring's durable zeroing, but paid per record instead of per segment
-// wipe).
+// record bytes left on media by a previously freed block (paid per record
+// instead of per segment wipe).
 struct ValueRecordHeader {
   uint32_t vlen;
   uint16_t klen;
@@ -132,18 +131,17 @@ inline uint64_t ValueRecordChecksum(const ValueRecordHeader& h, const void* key_
   return RangeChecksum(x, value_bytes, h.vlen);
 }
 
-// The index side of GC relocation. Implemented by PacTree (absorb-aware).
+// The index side of GC relocation. Implemented by PacTree.
 class ValueGcSink {
  public:
   virtual ~ValueGcSink() = default;
-  // The handle the index (including any staged-but-undrained write) currently
-  // maps |key| to. False when the key is absent or mapped to an inline value.
+  // The handle the index currently maps |key| to. False when the key is absent or mapped to an inline value.
   virtual bool CurrentValueHandle(const Key& key, uint64_t* handle) const = 0;
   // Atomically re-points |key| from |old_handle| to |new_handle| -- durable
-  // before returning true (an absorb log append or the key's value-word
-  // persist). False when the index no longer maps key to old_handle, or when
-  // the swing cannot be performed right now (frozen absorb shard, degraded
-  // index); GC treats false as "leave the old record alone".
+  // before returning true (the key's value-word persist). False when the
+  // index no longer maps key to old_handle, or when the swing cannot be
+  // performed right now (degraded index); GC treats false as "leave the old
+  // record alone".
   virtual bool CasValueHandle(const Key& key, uint64_t old_handle,
                               uint64_t new_handle) = 0;
 };

@@ -13,10 +13,9 @@
 // instant (via the fail-point trigger hook) and recovers from that image.
 //
 // Scenarios: insert that splits a full data node (swept over both the
-// "pmem/alloc" and "pmem/alloc_to" sites), an absorb drain whose batched
-// application must split, recovery-time op-log replay over a captured image,
-// and crash-at-failed-alloc. A final integration test genuinely fills a tiny
-// pool: writes fail fast with kFull in read-only degraded mode while
+// "pmem/alloc" and "pmem/alloc_to" sites), crash-at-failed-alloc, and the
+// value-log append and GC kFull unwinds. A final integration test genuinely
+// fills a tiny pool: writes fail fast with kFull in read-only degraded mode while
 // concurrent lookups and scans keep serving, deletes shrink the pool below the
 // resume watermark, and the tree re-admits writes.
 #include <fcntl.h>
@@ -98,7 +97,6 @@ class AllocSweepTest : public ::testing::Test {
     // on the arming thread, so thread-scoped fail points see a deterministic
     // event numbering and the sweep is genuinely exhaustive.
     o.pactree_async_update = false;
-    o.pactree_absorb_writes = absorb_;
     o.pactree_value_storage = value_;
     o.pactree_value_segment_size = value_ ? (32 << 10) : 0;
     o.open_existing = open_existing;
@@ -195,9 +193,6 @@ class AllocSweepTest : public ::testing::Test {
     }
   }
 
-  // Route writes through the absorb buffer (and replay its op-log rings on
-  // every reopen).
-  bool absorb_ = false;
   // Open with the tiered value storage (32 KiB segments so rotation -- and
   // with it the segment-allocation sites -- is reachable in a single window).
   bool value_ = false;
@@ -211,138 +206,6 @@ TEST_F(AllocSweepTest, InsertSplitSweepAllocSite) {
 
 TEST_F(AllocSweepTest, InsertSplitSweepAllocToSite) {
   SweepInsertSplit("pmem/alloc_to");
-}
-
-// --- absorb drain-with-split sweep -------------------------------------------
-//
-// Acked ops live in the op-log ring; the drain's batched application finds the
-// target node full and must split. A failed split aborts the batch with the
-// durable prefix applied, the buffer keeps every entry logged and staged, and
-// the next pass converges (the §4.2 re-application contract) -- acked writes
-// survive the allocation failure without a single loss.
-
-TEST_F(AllocSweepTest, AbsorbDrainSplitSweep) {
-  absorb_ = true;
-  auto run = [&](uint64_t k) -> uint64_t {
-    DestroyIndex(IndexKind::kPacTree, kIndexName);
-    auto index = OpenIndex(/*open_existing=*/false);
-    EXPECT_NE(index, nullptr);
-    if (index == nullptr) {
-      return 0;
-    }
-    RecoveryExpectation exp;
-    SetupFullNode(index.get(), &exp);
-
-    FailPoints::Arm("pmem/alloc", k == 0 ? FailPointTrigger::CountOnly()
-                                         : FailPointTrigger::NthHit(k));
-    // Appends ack immediately (no allocation); the drain below applies them.
-    InsertAcked(index.get(), &exp, 645, 646);
-    InsertAcked(index.get(), &exp, 15, 16);
-    index->Drain();
-    uint64_t events = FailPoints::HitCount("pmem/alloc");
-    FailPoints::Disarm("pmem/alloc");
-
-    std::string why;
-    EXPECT_TRUE(index->CheckInvariants(&why)) << "K=" << k << ": " << why;
-    // One injected failure is not pool pressure: the tree must not degrade.
-    EXPECT_NE(index->StatsJson().find("\"degraded\":0"), std::string::npos);
-    uint64_t v = 0;
-    EXPECT_EQ(index->Lookup(Key::FromInt(645), &v), Status::kOk);
-    EXPECT_EQ(v, 646u);
-    EXPECT_EQ(index->Lookup(Key::FromInt(15), &v), Status::kOk);
-    EXPECT_EQ(v, 16u);
-
-    ReopenAndVerify(std::move(index), exp, "absorb_drain", k);
-    return events;
-  };
-  uint64_t n = run(0);
-  ASSERT_GT(n, 0u) << "drain performed no allocations";
-  for (uint64_t k = 1; k <= n; ++k) {
-    run(k);
-    if (HasFatalFailure()) {
-      return;
-    }
-  }
-}
-
-// --- recovery-replay sweep ---------------------------------------------------
-//
-// Two acked appends ride the op-log ring across a (clean-image) reopen; the
-// recovery replay has to split the full node to apply them. Failing the K-th
-// replay allocation exercises the handoff: the temporary replay buffer leaves
-// the failed ring's bytes intact (they are the only durable copy), Init
-// retries through the live absorb buffer, and the acked keys come back -- for
-// every K, with no degraded residue.
-
-TEST_F(AllocSweepTest, RecoveryReplaySweep) {
-  absorb_ = true;
-
-  // Build the pre-reopen image ONCE: a full node in the data layer plus two
-  // undrained acked appends in the ring, captured via the shadow heap.
-  DestroyIndex(IndexKind::kPacTree, kIndexName);
-  auto index = OpenIndex(/*open_existing=*/false);
-  ASSERT_NE(index, nullptr);
-  RecoveryExpectation exp;
-  SetupFullNode(index.get(), &exp);
-
-  struct PoolInfo {
-    std::string path;
-    void* base;
-  };
-  std::vector<PoolInfo> pools;
-  for (PmemHeap* heap : index->Heaps()) {
-    for (uint32_t i = 0; i < heap->pool_count(); ++i) {
-      PmemPool* pool = heap->pool(i);
-      ShadowHeap::Enable(pool->base(), pool->size());
-      pools.push_back({pool->path(), pool->base()});
-    }
-  }
-  ASSERT_FALSE(pools.empty());
-  // The append IS the durability point: both keys are acked, so recovery owes
-  // them back no matter which replay allocation fails.
-  InsertAcked(index.get(), &exp, 645, 646);
-  InsertAcked(index.get(), &exp, 15, 16);
-  std::vector<std::vector<uint8_t>> images;
-  for (const PoolInfo& p : pools) {
-    images.push_back(ShadowHeap::CaptureRegion(p.base, CrashMode::kStrict));
-    ASSERT_FALSE(images.back().empty());
-  }
-  index.reset();
-  EpochManager::Instance().DrainAll();
-  ShadowHeap::Disable();
-
-  auto reopen_at = [&](uint64_t k) -> uint64_t {
-    for (size_t i = 0; i < pools.size(); ++i) {
-      OverwriteFile(pools[i].path, images[i]);
-    }
-    FailPoints::Arm("pmem/alloc", k == 0 ? FailPointTrigger::CountOnly()
-                                         : FailPointTrigger::NthHit(k));
-    auto recovered = OpenIndex(/*open_existing=*/true);
-    uint64_t events = FailPoints::HitCount("pmem/alloc");
-    FailPoints::Disarm("pmem/alloc");
-    EXPECT_NE(recovered, nullptr) << "replay K=" << k;
-    if (recovered == nullptr) {
-      return events;
-    }
-    // The retry path converged: no pinned degraded mode, logs drained, every
-    // acked key (including the two that rode the ring) served.
-    EXPECT_NE(recovered->StatsJson().find("\"degraded\":0"), std::string::npos)
-        << "replay K=" << k << " left the tree degraded";
-    VerifyReport report = VerifyRecoveredIndex(*recovered, exp);
-    EXPECT_TRUE(report.ok()) << "replay K=" << k << ": " << report.ToString();
-    recovered.reset();
-    EpochManager::Instance().DrainAll();
-    return events;
-  };
-
-  uint64_t n = reopen_at(0);
-  ASSERT_GT(n, 0u) << "replay performed no allocations";
-  for (uint64_t k = 1; k <= n; ++k) {
-    reopen_at(k);
-    if (HasFatalFailure()) {
-      return;
-    }
-  }
 }
 
 // --- crash at the failed allocation ------------------------------------------

@@ -106,10 +106,7 @@ class CrashSweepTest : public ::testing::Test {
     o.per_numa_pools = false;
     // Synchronous SMO application: all persistence events of a split/merge
     // land on the arming thread, making the event numbering deterministic.
-    // The same flag keeps the absorb buffer service-free, so window drains
-    // (and their log trims) run inline on the arming thread too.
     o.pactree_async_update = false;
-    o.pactree_absorb_writes = absorb_;
     o.pactree_value_storage = value_;
     o.pactree_value_segment_size = value_ ? (32 << 10) : 0;  // GC-reachable
     o.open_existing = open_existing;
@@ -125,9 +122,6 @@ class CrashSweepTest : public ::testing::Test {
 
   // When nonzero, recovery-side opens run async with this many updaters.
   uint32_t recover_updaters_ = 0;
-  // Route the trace's writes through the absorb buffer (both the pre-crash
-  // index and the recovered one, whose Open replays the op-log rings).
-  bool absorb_ = false;
   // Open with the tiered value storage (value heap shadowed like the others;
   // the persistent value_mode flag makes the recovery open reattach it even
   // without the option, but the factory passes it explicitly anyway).
@@ -481,77 +475,6 @@ TEST_F(CrashSweepTest, PacTreeDelete) {
   SweepAllModes(IndexKind::kPacTree, sc);
 }
 
-// --- PACTree absorb traces --------------------------------------------------
-//
-// With absorb_writes on, an acknowledged write's durability point is its
-// op-log append, and the data-layer application (plus the log trim that
-// retires the entries) happens in a drain pass. Three windows cover the three
-// persistence phases: the bare append, a drain that must split a full node,
-// and a tombstone drain ending in a trim. Setup state is always fully drained
-// (RunCrashPoint calls Drain() after setup), so acked keys live in the data
-// layer and only the window's ops ride the log across the crash.
-
-TEST_F(CrashSweepTest, PacTreeAbsorbLogAppend) {
-  absorb_ = true;
-  SweepScenario sc;
-  sc.setup = [](RangeIndex* idx, RecoveryExpectation* exp) {
-    for (uint64_t i = 1; i <= 3; ++i) {
-      InsertAcked(idx, exp, i * 70, i * 70 + 1);
-    }
-  };
-  sc.window = [](RangeIndex* idx, RecoveryExpectation* exp) {
-    // Only the append happens in the window: the op either became durable in
-    // the ring (recovery replays it) or tore (recovery discards it).
-    idx->Insert(Key::FromInt(100), 101);
-    exp->inflight[Key::FromInt(100)] = 101;
-  };
-  SweepAllModes(IndexKind::kPacTree, sc);
-}
-
-TEST_F(CrashSweepTest, PacTreeAbsorbDrainSplit) {
-  // Setup drains 64 keys into one full data node; the window stages two
-  // inserts and forces the drain, whose batched application finds no free
-  // slot and splits mid-apply. Crash points cover append, sorted apply, the
-  // logged SMO, and the trailing log trim.
-  absorb_ = true;
-  SweepScenario sc;
-  sc.setup = [](RangeIndex* idx, RecoveryExpectation* exp) {
-    for (uint64_t i = 1; i <= 64; ++i) {
-      InsertAcked(idx, exp, i * 10, i * 10 + 1);
-    }
-  };
-  sc.window = [](RangeIndex* idx, RecoveryExpectation* exp) {
-    idx->Insert(Key::FromInt(645), 646);
-    exp->inflight[Key::FromInt(645)] = 646;
-    idx->Insert(Key::FromInt(15), 16);
-    exp->inflight[Key::FromInt(15)] = 16;
-    idx->Drain();
-  };
-  SweepAllModes(IndexKind::kPacTree, sc);
-}
-
-TEST_F(CrashSweepTest, PacTreeAbsorbTombstoneDrain) {
-  absorb_ = true;
-  SweepScenario sc;
-  sc.setup = [](RangeIndex* idx, RecoveryExpectation* exp) {
-    for (uint64_t i = 1; i <= 10; ++i) {
-      InsertAcked(idx, exp, i * 10, i * 10 + 1);
-    }
-  };
-  sc.window = [](RangeIndex* idx, RecoveryExpectation* exp) {
-    // A staged tombstone over an acked key plus a fresh upsert, drained and
-    // trimmed in the window. The removed key may survive (append not durable)
-    // with its prior value or be gone; never half-applied.
-    idx->Remove(Key::FromInt(50));
-    exp->acked.erase(Key::FromInt(50));
-    exp->inflight[Key::FromInt(50)] = 51;
-    idx->Insert(Key::FromInt(55), 56);
-    exp->inflight[Key::FromInt(55)] = 56;
-    idx->Drain();
-  };
-  SweepAllModes(IndexKind::kPacTree, sc);
-}
-
 // --- Tiered value storage traces --------------------------------------------
 //
 // Values are audited by bytes (RecoveryExpectation::acked_values /
@@ -637,27 +560,6 @@ TEST_F(CrashSweepTest, PacTreeValueGcCompaction) {
   sc.window = [](RangeIndex* idx, RecoveryExpectation* exp) {
     (void)exp;
     idx->CompactValues();
-  };
-  SweepAllModes(IndexKind::kPacTree, sc);
-}
-
-TEST_F(CrashSweepTest, PacTreeValueAbsorbAppend) {
-  // Value writes riding the absorb pipeline: the record fence happens in the
-  // window's InsertValue, the HANDLE's durability point is its op-log append,
-  // and recovery must replay the staged handle and rebuild live counts over
-  // the frozen staging view.
-  value_ = true;
-  absorb_ = true;
-  SweepScenario sc;
-  sc.setup = [](RangeIndex* idx, RecoveryExpectation* exp) {
-    InsertValueAcked(idx, exp, 10, 1, 600);
-    InsertValueAcked(idx, exp, 20, 2, 300);
-  };
-  sc.window = [](RangeIndex* idx, RecoveryExpectation* exp) {
-    std::string v = SweepValue(55, 800);
-    idx->InsertValue(Key::FromInt(100), v);
-    exp->inflight_values[Key::FromInt(100)] = {v};
-    idx->Drain();
   };
   SweepAllModes(IndexKind::kPacTree, sc);
 }

@@ -1,7 +1,6 @@
 // Batched read pipeline tests (src/pactree/multiget.cc + the RangeIndex
-// default): property check against a std::map oracle with absorb on and off,
-// duplicate / out-of-order keys, answers served from absorb staging without a
-// drain, MultiScan vs per-call Scan, pipeline stat counters, a
+// default): property check against a std::map oracle, duplicate /
+// out-of-order keys, MultiScan vs per-call Scan, pipeline stat counters, a
 // crash-sweep-style window proving the batched read path emits zero
 // persistence events, and concurrent writers + forced drains (tsan label).
 #include <gtest/gtest.h>
@@ -49,10 +48,10 @@ class MultiGetTest : public ::testing::Test {
   std::unique_ptr<PacTree> tree_;
 };
 
-// Random upserts/removes mirrored into a std::map, with periodic forced
-// drains, then random batches (duplicates, out-of-order, absent keys) checked
-// against both the oracle and per-key Lookup.
-void RunOracleProperty(PacTree* tree, bool absorb, uint64_t seed) {
+// Random upserts/removes mirrored into a std::map, then random batches
+// (duplicates, out-of-order, absent keys) checked against both the oracle
+// and per-key Lookup.
+void RunOracleProperty(PacTree* tree, uint64_t seed) {
   Rng rng(seed);
   std::map<uint64_t, uint64_t> oracle;
   const uint64_t domain = 8000;
@@ -65,10 +64,6 @@ void RunOracleProperty(PacTree* tree, bool absorb, uint64_t seed) {
       uint64_t v = op + 1;
       tree->Insert(Key::FromInt(k), v);
       oracle[k] = v;
-    }
-    if (absorb && op % 700 == 699) {
-      tree->DrainAbsorb();
-      tree->DrainSmoLogs();
     }
   }
   for (int batch = 0; batch < 200; ++batch) {
@@ -105,16 +100,9 @@ void RunOracleProperty(PacTree* tree, bool absorb, uint64_t seed) {
   }
 }
 
-TEST_F(MultiGetTest, OraclePropertyAbsorbOff) {
+TEST_F(MultiGetTest, OracleProperty) {
   Open();
-  RunOracleProperty(tree_.get(), false, 0xabcdef);
-}
-
-TEST_F(MultiGetTest, OraclePropertyAbsorbOn) {
-  opts_.absorb_writes = true;
-  opts_.absorb_shards = 2;
-  Open();
-  RunOracleProperty(tree_.get(), true, 0xfedcba);
+  RunOracleProperty(tree_.get(), 0xabcdef);
 }
 
 TEST_F(MultiGetTest, DuplicatesUnsortedAndNullStatuses) {
@@ -139,37 +127,6 @@ TEST_F(MultiGetTest, DuplicatesUnsortedAndNullStatuses) {
             4u);
   EXPECT_EQ(st[3], Status::kNotFound);
   EXPECT_EQ(values[3], 0u);
-}
-
-TEST_F(MultiGetTest, ServedFromAbsorbStagingWithoutDrain) {
-  opts_.absorb_writes = true;
-  opts_.absorb_shards = 2;
-  opts_.async_search_update = false;
-  Open();
-  ASSERT_EQ(tree_->Insert(Key::FromInt(1), 10), Status::kOk);
-  ASSERT_EQ(tree_->Insert(Key::FromInt(2), 20), Status::kOk);
-  tree_->DrainAbsorb();
-  ASSERT_EQ(tree_->Remove(Key::FromInt(2)), Status::kOk);  // staged tombstone
-  ASSERT_EQ(tree_->Insert(Key::FromInt(3), 30), Status::kOk);  // staged value
-  std::vector<Key> keys = {Key::FromInt(1), Key::FromInt(2), Key::FromInt(3)};
-  std::vector<uint64_t> values(3, 0);
-  std::vector<Status> st(3, Status::kOk);
-  EXPECT_EQ(tree_->MultiGet(std::span<const Key>(keys), values.data(), st.data()),
-            2u);
-  EXPECT_EQ(st[0], Status::kOk);
-  EXPECT_EQ(values[0], 10u);
-  EXPECT_EQ(st[1], Status::kNotFound);  // tombstone shadows the drained value
-  EXPECT_EQ(st[2], Status::kOk);
-  EXPECT_EQ(values[2], 30u);
-  // Same answers once everything has drained into the data layer.
-  tree_->DrainAbsorb();
-  tree_->DrainSmoLogs();
-  values.assign(3, 0);
-  EXPECT_EQ(tree_->MultiGet(std::span<const Key>(keys), values.data(), st.data()),
-            2u);
-  EXPECT_EQ(values[0], 10u);
-  EXPECT_EQ(st[1], Status::kNotFound);
-  EXPECT_EQ(values[2], 30u);
 }
 
 TEST_F(MultiGetTest, MultiScanMatchesScan) {
@@ -238,14 +195,11 @@ TEST_F(MultiGetTest, PipelineStatCounters) {
 // write-backs, no flushes, no fences) -- so no crash point inside the batched
 // read path can ever torn-write or lose state.
 TEST_F(MultiGetTest, ReadPathNeverPersists) {
-  opts_.absorb_writes = true;
-  opts_.absorb_shards = 2;
   opts_.async_search_update = false;
   Open();
   for (uint64_t i = 0; i < 3000; ++i) {
     ASSERT_EQ(tree_->Insert(Key::FromInt(i), i + 1), Status::kOk);
   }
-  tree_->DrainAbsorb();
   tree_->DrainSmoLogs();
   NvmStatsSnapshot w0 = GlobalNvmStats();
   Rng rng(99);
@@ -269,19 +223,16 @@ TEST_F(MultiGetTest, ReadPathNeverPersists) {
   EXPECT_GT(d.media_read_bytes, 0u);
 }
 
-// Concurrent writers upsert a volatile key range and force absorb/SMO drains
-// while readers stream MultiGet batches mixing stable and volatile keys:
-// stable keys must always resolve exactly as per-key Lookup would, under
-// splits, drains, and group retries (tsan label exercises the data races).
+// Concurrent writers upsert a volatile key range and force SMO drains while
+// readers stream MultiGet batches mixing stable and volatile keys: stable
+// keys must always resolve exactly as per-key Lookup would, under splits,
+// drains, and group retries (tsan label exercises the data races).
 TEST_F(MultiGetTest, ConcurrentWritersAndForcedDrains) {
-  opts_.absorb_writes = true;
-  opts_.absorb_shards = 2;
   Open();
   const uint64_t stable = 4000, volat = 2000;
   for (uint64_t i = 0; i < stable; ++i) {
     ASSERT_EQ(tree_->Insert(Key::FromInt(i), i + 1), Status::kOk);
   }
-  tree_->DrainAbsorb();
   tree_->DrainSmoLogs();
   std::atomic<bool> stop{false};
   std::atomic<int> writers_started{0};
@@ -299,7 +250,6 @@ TEST_F(MultiGetTest, ConcurrentWritersAndForcedDrains) {
           writers_started.fetch_add(1, std::memory_order_release);
         }
         if (round % 256 == 0) {
-          tree_->DrainAbsorb();
           tree_->DrainSmoLogs();
         }
       }
@@ -342,6 +292,7 @@ TEST_F(MultiGetTest, ConcurrentWritersAndForcedDrains) {
   stop.store(true, std::memory_order_release);
   threads[0].join();
   threads[1].join();
+  tree_->DrainSmoLogs();  // CheckInvariants needs a quiesced tree
   EXPECT_EQ(failures.load(), 0u);
   std::string why;
   EXPECT_TRUE(tree_->CheckInvariants(&why)) << why;

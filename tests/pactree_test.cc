@@ -608,6 +608,40 @@ TEST_F(PacTreeTest, ConcurrentOverwritesReadWrittenValues) {
   EXPECT_TRUE(tree_->CheckInvariants(&why)) << why;
 }
 
+// Media write bytes of an upsert-heavy stream over a bounded key set (30k
+// upserts, ~2k distinct keys), data and log heaps together. A fresh key
+// fills a slot and publishes the bitmap: its slot line and its header line.
+// An overwrite stores its slot's value word in place: at most its slot line.
+TEST_F(PacTreeTest, UpsertStreamWritesOverwritesInPlace) {
+  constexpr uint64_t kN = 30000;
+  constexpr uint64_t kDomain = 2000;
+  Rng rng(99);
+  std::vector<uint64_t> keys(kN);
+  std::set<uint64_t> seen;
+  for (auto& k : keys) {
+    k = rng.Uniform(kDomain);
+    seen.insert(k);
+  }
+  const uint64_t distinct = seen.size();
+
+  tree_.reset();
+  EpochManager::Instance().DrainAll();
+  PacTree::Destroy(opts_.name);
+  opts_.async_search_update = false;  // deterministic: no background services
+  tree_ = PacTree::Open(opts_);
+  ASSERT_NE(tree_, nullptr);
+  const uint64_t data0 = tree_->data_heap()->MediaStats().media_write_bytes;
+  const uint64_t log0 = tree_->log_heap()->MediaStats().media_write_bytes;
+  for (uint64_t k : keys) {
+    tree_->Insert(Key::FromInt(k), k);
+  }
+  const uint64_t written = tree_->data_heap()->MediaStats().media_write_bytes - data0 +
+                           tree_->log_heap()->MediaStats().media_write_bytes - log0;
+  EXPECT_EQ(tree_->Size(), distinct);
+  EXPECT_LE(written, distinct * 2 * kXpLineSize + (kN - distinct) * kXpLineSize)
+      << "overwrites must write in place";
+}
+
 // Every byte of the index's pool files (single pool per heap).
 std::vector<std::string> ReadPoolFiles(const std::string& name) {
   std::vector<std::string> files;
@@ -628,9 +662,11 @@ TEST_F(PacTreeTest, RefusesOtherLayoutPoolsAndLeavesFilesUntouched) {
   // suffixes where this build's 16-B slot records are, "PACTREE3" records
   // hold a 4-B descriptor and 4 head bytes where this build reads one key
   // word, "PACTREE4" nodes carry a format byte and may be 3072-B full-key
-  // nodes, and an unknown magic is a corrupt root, not a fresh pool. A pool of
-  // layout version 1 put its data nodes on unshifted chunk grids, where this
-  // build would look for them one shift too far.
+  // nodes, "PACTREE5" roots hold op-log rings of a DRAM write buffer whose
+  // acked ops nothing in this build would replay, and an unknown magic is a
+  // corrupt root, not a fresh pool. A pool of layout version 1 put its data
+  // nodes on unshifted chunk grids, where this build would look for them one
+  // shift too far.
   PacTreeOptions o = opts_;
   o.name = "pt_layout";
   o.pool_size = 16 << 20;
@@ -646,7 +682,7 @@ TEST_F(PacTreeTest, RefusesOtherLayoutPoolsAndLeavesFilesUntouched) {
   EpochManager::Instance().DrainAll();
   uint64_t fresh_magic = 0;
   ASSERT_EQ(PmemHeap::PeekRoot(o.name + ".data", &fresh_magic), Status::kOk);
-  EXPECT_EQ(fresh_magic, 0x3545455254434150ULL);  // "PACTREE5"
+  EXPECT_EQ(fresh_magic, 0x3645455254434150ULL);  // "PACTREE6"
   struct Row {
     uint32_t pool_layout;
     uint64_t magic;
@@ -657,8 +693,9 @@ TEST_F(PacTreeTest, RefusesOtherLayoutPoolsAndLeavesFilesUntouched) {
       {kPoolLayoutVersion, 0x3245455254434150ULL, Status::kOldLayout},  // "PACTREE2"
       {kPoolLayoutVersion, 0x3345455254434150ULL, Status::kOldLayout},  // "PACTREE3"
       {kPoolLayoutVersion, 0x3445455254434150ULL, Status::kOldLayout},  // "PACTREE4"
+      {kPoolLayoutVersion, 0x3545455254434150ULL, Status::kOldLayout},  // "PACTREE5"
       {kPoolLayoutVersion, 0x0123456789abcdefULL, Status::kCorrupted},
-      {1, 0x3545455254434150ULL, Status::kOldLayout},  // "PACTREE5" root, layout 1
+      {1, 0x3645455254434150ULL, Status::kOldLayout},  // "PACTREE6" root, layout 1
   };
   for (const auto& [pool_layout, magic, want] : rows) {
     {

@@ -1,9 +1,9 @@
 // Tiered value storage tests: inline handle codec, the standalone
 // log-structured ValueStorage (append/read, torn-record rejection, GC
 // relocation against a map sink), the DRAM hot-value cache, and the
-// PacTree-integrated value API (absorb on and off, scans, batched gets,
-// overwrite/remove invalidation, an std::map oracle property test with
-// random inline GC, concurrent readers vs GC for TSan, and reopen recovery).
+// PacTree-integrated value API (scans, batched gets, overwrite/remove
+// invalidation, an std::map oracle property test with random inline GC,
+// concurrent readers vs GC for TSan, and reopen recovery).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -352,7 +352,7 @@ TEST(ValueLruCacheTest, ZeroCapacityDisables) {
 // PacTree integration
 // ---------------------------------------------------------------------------
 
-class PacTreeValueTest : public ::testing::TestWithParam<bool> {
+class PacTreeValueTest : public ::testing::Test {
  protected:
   void SetUp() override {
     GlobalNvmConfig() = NvmConfig();
@@ -365,7 +365,6 @@ class PacTreeValueTest : public ::testing::TestWithParam<bool> {
     opts_.value_segment_size = 32 << 10;
     opts_.value_cache_bytes = 64 << 10;
     opts_.value_arenas = 1;
-    opts_.absorb_writes = GetParam();
     tree_ = PacTree::Open(opts_);
     ASSERT_NE(tree_, nullptr);
   }
@@ -387,7 +386,7 @@ class PacTreeValueTest : public ::testing::TestWithParam<bool> {
   std::unique_ptr<PacTree> tree_;
 };
 
-TEST_P(PacTreeValueTest, RoundTripInlineAndLog) {
+TEST_F(PacTreeValueTest, RoundTripInlineAndLog) {
   // 0..7 B inline, 64 B..4 KiB through the log; same API either way.
   for (size_t len : {0u, 3u, 7u, 64u, 256u, 1024u, 4096u}) {
     Key k = Key::FromInt(len);
@@ -404,7 +403,7 @@ TEST_P(PacTreeValueTest, RoundTripInlineAndLog) {
   EXPECT_EQ(s.value.appends, 4u);  // only the four over-inline sizes
 }
 
-TEST_P(PacTreeValueTest, OverwriteAndRemoveInvalidate) {
+TEST_F(PacTreeValueTest, OverwriteAndRemoveInvalidate) {
   Key k = Key::FromInt(5);
   ASSERT_EQ(tree_->InsertValue(k, MakeValue(1, 300)), Status::kOk);
   std::string out;
@@ -427,14 +426,13 @@ TEST_P(PacTreeValueTest, OverwriteAndRemoveInvalidate) {
   EXPECT_EQ(tree_->LookupValue(k, &out), Status::kNotFound);
 }
 
-TEST_P(PacTreeValueTest, ScanAndMultiGetValues) {
+TEST_F(PacTreeValueTest, ScanAndMultiGetValues) {
   const int kKeys = 200;
   for (int i = 0; i < kKeys; ++i) {
     size_t len = (i % 3 == 0) ? 5 : 128 + i;  // inline/log mix
     ASSERT_EQ(tree_->InsertValue(Key::FromInt(i), MakeValue(i, len)),
               Status::kOk);
   }
-  tree_->DrainAbsorb();
 
   std::vector<std::pair<Key, std::string>> scanned;
   EXPECT_EQ(tree_->ScanValues(Key::FromInt(50), 40, &scanned), 40u);
@@ -470,7 +468,7 @@ TEST_P(PacTreeValueTest, ScanAndMultiGetValues) {
   EXPECT_EQ(values2, values);
 }
 
-TEST_P(PacTreeValueTest, OracleWithGcAndEvictions) {
+TEST_F(PacTreeValueTest, OracleWithGcAndEvictions) {
   // Random upserts/removes against an std::map oracle, with inline GC rounds
   // sprinkled in. The tiny cache budget (64 KiB vs ~1 MiB of live values)
   // keeps evictions and refills constant; GC keeps relocating live records.
@@ -507,7 +505,6 @@ TEST_P(PacTreeValueTest, OracleWithGcAndEvictions) {
       tree_->CompactValues();
     }
   }
-  tree_->DrainAbsorb();
   for (const auto& [k, v] : oracle) {
     std::string out;
     ASSERT_EQ(tree_->LookupValue(k, &out), Status::kOk);
@@ -525,7 +522,7 @@ TEST_P(PacTreeValueTest, OracleWithGcAndEvictions) {
   }
 }
 
-TEST_P(PacTreeValueTest, ConcurrentReadersVsGc) {
+TEST_F(PacTreeValueTest, ConcurrentReadersVsGc) {
   // Writers churn overwrites (creating garbage), a collector compacts, and
   // readers must always observe some complete write's value -- never torn
   // bytes, never a vanished key. TSan-checked via the tsan label.
@@ -573,13 +570,12 @@ TEST_P(PacTreeValueTest, ConcurrentReadersVsGc) {
       }
     }
   });
-  tree_->DrainAbsorb();
   std::string why;
   tree_->DrainSmoLogs();
   EXPECT_TRUE(tree_->CheckInvariants(&why)) << why;
 }
 
-TEST_P(PacTreeValueTest, ReopenRecoversValues) {
+TEST_F(PacTreeValueTest, ReopenRecoversValues) {
   const int kKeys = 300;
   for (int i = 0; i < kKeys; ++i) {
     size_t len = (i % 5 == 0) ? 4 : 200 + (i % 1000);
@@ -610,7 +606,7 @@ TEST_P(PacTreeValueTest, ReopenRecoversValues) {
   tree_->CompactValues();
 }
 
-TEST_P(PacTreeValueTest, ValueModeStickyAcrossReopen) {
+TEST_F(PacTreeValueTest, ValueModeStickyAcrossReopen) {
   // A tree that ever ran with the value tier must reopen with it even when
   // the option is dropped (crash harnesses reopen by name only).
   ASSERT_EQ(tree_->InsertValue(Key::FromInt(1), MakeValue(1, 400)), Status::kOk);
@@ -620,7 +616,6 @@ TEST_P(PacTreeValueTest, ValueModeStickyAcrossReopen) {
   bare.name = opts_.name;
   bare.pool_id_base = opts_.pool_id_base;
   bare.pool_size = opts_.pool_size;
-  bare.absorb_writes = opts_.absorb_writes;
   tree_ = PacTree::Open(bare);
   ASSERT_NE(tree_, nullptr);
   std::string out;
@@ -628,11 +623,6 @@ TEST_P(PacTreeValueTest, ValueModeStickyAcrossReopen) {
   EXPECT_EQ(out, MakeValue(1, 400));
   EXPECT_TRUE(tree_->Stats().value_enabled);
 }
-
-INSTANTIATE_TEST_SUITE_P(AbsorbOnOff, PacTreeValueTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Absorb" : "Direct";
-                         });
 
 }  // namespace
 }  // namespace pactree
