@@ -41,6 +41,7 @@ struct PhaseResult {
   uint64_t cache_misses = 0;
   uint64_t read_retries = 0;
   double read_bytes_per_op = 0;  // media reads, every pool and thread
+  uint64_t cache_resident_bytes = 0;  // the cache's DRAM at the phase's end (0: off)
 };
 
 struct ModeResult {
@@ -128,6 +129,7 @@ int main(int argc, char** argv) {
       r.cache_hits = s1.value_cache.hits - s0.value_cache.hits;
       r.cache_misses = s1.value_cache.misses - s0.value_cache.misses;
       r.read_retries = s1.value.read_retries - s0.value.read_retries;
+      r.cache_resident_bytes = s1.value_cache.resident_bytes;
       return r;
     };
 
@@ -143,15 +145,17 @@ int main(int argc, char** argv) {
     return res;
   };
 
-  std::printf("%-6s %-8s %8s %12s %12s %10s %13s %10s\n", "phase", "mode", "Mops/s",
-              "cache_hits", "cache_miss", "hit_rate", "read_retries", "rd_B/op");
+  std::printf("%-6s %-8s %8s %12s %12s %10s %13s %10s %10s\n", "phase", "mode",
+              "Mops/s", "cache_hits", "cache_miss", "hit_rate", "read_retries", "rd_B/op",
+              "cache_MiB");
   auto print = [&](const char* phase, const char* mode, const PhaseResult& r) {
     double probes = static_cast<double>(r.cache_hits + r.cache_misses);
     double hit_rate = probes == 0 ? 0.0 : static_cast<double>(r.cache_hits) / probes;
-    std::printf("%-6s %-8s %8.3f %12llu %12llu %9.1f%% %13llu %10.1f\n", phase, mode,
-                r.mops, static_cast<unsigned long long>(r.cache_hits),
+    std::printf("%-6s %-8s %8.3f %12llu %12llu %9.1f%% %13llu %10.1f %10.2f\n", phase,
+                mode, r.mops, static_cast<unsigned long long>(r.cache_hits),
                 static_cast<unsigned long long>(r.cache_misses), hit_rate * 100,
-                static_cast<unsigned long long>(r.read_retries), r.read_bytes_per_op);
+                static_cast<unsigned long long>(r.read_retries), r.read_bytes_per_op,
+                static_cast<double>(r.cache_resident_bytes) / (1 << 20));
     std::fflush(stdout);
     BenchJsonAdd(JsonRow()
                      .Str("phase", phase)
@@ -165,7 +169,8 @@ int main(int argc, char** argv) {
                      .U64("cache_misses", r.cache_misses)
                      .F64("hit_rate", hit_rate)
                      .U64("read_retries", r.read_retries)
-                     .F64("read_bytes_per_op", r.read_bytes_per_op));
+                     .F64("read_bytes_per_op", r.read_bytes_per_op)
+                     .U64("cache_resident_bytes", r.cache_resident_bytes));
   };
 
   ModeResult uncached = run_mode(/*cached=*/false);

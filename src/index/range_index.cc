@@ -113,6 +113,7 @@ class PacTreeIndex : public RangeIndex {
       field("value_cache_misses", s.value_cache.misses);
       field("value_cache_evictions", s.value_cache.evictions);
       field("value_cache_bytes", s.value_cache.bytes);
+      field("value_cache_resident_bytes", s.value_cache.resident_bytes);
     }
     field("heap_remote_allocs", tree_->search_heap()->RemoteAllocs() +
                                     tree_->data_heap()->RemoteAllocs() +

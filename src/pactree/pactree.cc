@@ -413,7 +413,6 @@ Status PacTree::Insert(const Key& key, uint64_t value) {
     stat_write_rejects_.fetch_add(1, std::memory_order_relaxed);
     return Status::kFull;  // read-only degraded mode: fail fast, no side effects
   }
-  PreWriteValueHygiene(key);
   EpochGuard guard;
   uint8_t fingerprint = key.Fingerprint();
   while (true) {
@@ -424,7 +423,7 @@ Status PacTree::Insert(const Key& key, uint64_t value) {
       continue;
     }
     if (int existing = node->FindKey(key, fingerprint); existing >= 0) {
-      OverwriteAndUnlock(node, existing, value);
+      RetireReplacedValue(key, OverwriteAndUnlock(node, existing, value));
       return Status::kExists;
     }
     if (node->FindFreeSlot() < 0 || !node->SuffixRoomFor(key)) {
@@ -452,12 +451,14 @@ Status PacTree::Insert(const Key& key, uint64_t value) {
 // A successful upgrade proves no writer locked the node since that token was
 // taken, so the probe read a stable node and the slot still holds the key:
 // no second probe. Remove relies on the same argument.
-void PacTree::OverwriteAndUnlock(DataNode* node, int slot, uint64_t value) {
+uint64_t PacTree::OverwriteAndUnlock(DataNode* node, int slot, uint64_t value) {
+  const uint64_t old = node->ValueAt(slot);
   node->StoreValuePersist(slot, value);
   if (!opts_.selective_persistence) {
     MaintainPermutation(node);
   }
   node->lock.WriteUnlock();
+  return old;
 }
 
 Status PacTree::Update(const Key& key, uint64_t value) {
@@ -465,7 +466,6 @@ Status PacTree::Update(const Key& key, uint64_t value) {
     stat_write_rejects_.fetch_add(1, std::memory_order_relaxed);
     return Status::kFull;  // read-only degraded mode: fail fast, no side effects
   }
-  PreWriteValueHygiene(key);
   EpochGuard guard;
   uint8_t fingerprint = key.Fingerprint();
   while (true) {
@@ -483,7 +483,7 @@ Status PacTree::Update(const Key& key, uint64_t value) {
       stat_retries_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    OverwriteAndUnlock(node, existing, value);
+    RetireReplacedValue(key, OverwriteAndUnlock(node, existing, value));
     return Status::kOk;
   }
 }
@@ -492,7 +492,6 @@ Status PacTree::Remove(const Key& key) {
   // Deliberately NOT gated on degraded mode: deletes allocate nothing (merges
   // log SMOs into pre-allocated rings) and are the caller's only way to shrink
   // the tree back below the resume watermark.
-  PreWriteValueHygiene(key);
   EpochGuard guard;
   uint8_t fingerprint = key.Fingerprint();
   while (true) {
@@ -511,12 +510,14 @@ Status PacTree::Remove(const Key& key) {
       continue;
     }
     // |slot| is still the key's: see OverwriteAndUnlock.
+    const uint64_t old = node->ValueAt(slot);
     node->PublishBitmap(node->Bitmap() & ~(1ULL << slot));
     if (!opts_.selective_persistence) {
       MaintainPermutation(node);
     }
     TryMergeLocked(node);
     node->lock.WriteUnlock();
+    RetireReplacedValue(key, old);
     return Status::kOk;
   }
 }

@@ -293,11 +293,12 @@ class PacTree : private ValueGcSink {
   bool CurrentValueHandle(const Key& key, uint64_t* handle) const override;
   bool CasValueHandle(const Key& key, uint64_t old_handle,
                       uint64_t new_handle) override;
-  // Write-path hygiene when the value tier is on: retire the key's current
-  // log record from the live accounting and evict its cache entry. Racy by
-  // design (a lost race skews live-counts conservatively; correctness rides
-  // on GC's per-record CurrentValueHandle check).
-  void PreWriteValueHygiene(const Key& key);
+  // Write-path hygiene when the value tier is on, run after an overwrite or
+  // remove released the node lock: |old| is the value word the op replaced,
+  // read under that lock. A log handle leaves the live accounting (exactly
+  // once: only the replacing writer sees it), and the key's cache entry is
+  // evicted.
+  void RetireReplacedValue(const Key& key, uint64_t old);
   // Post-recovery live-count rebuild: every log handle the recovered data
   // layer references is live.
   void RebuildValueLiveCounts();
@@ -323,9 +324,10 @@ class PacTree : private ValueGcSink {
   void MaintainPermutation(DataNode* node);  // !selective_persistence mode
 
   // Commits an overwrite of live |slot| of the write-locked |node| (value-
-  // word persist; permutation upkeep in !selective_persistence mode) and
-  // releases the lock. |slot| comes from the caller's pre-upgrade FindKey.
-  void OverwriteAndUnlock(DataNode* node, int slot, uint64_t value);
+  // word persist; permutation upkeep in !selective_persistence mode),
+  // releases the lock, and returns the word it replaced. |slot| comes from
+  // the caller's pre-upgrade FindKey.
+  uint64_t OverwriteAndUnlock(DataNode* node, int slot, uint64_t value);
 
   PacTreeOptions opts_;
   std::unique_ptr<PmemHeap> search_heap_;

@@ -29,9 +29,9 @@ namespace pactree {
 
 Status PacTree::InsertValue(const Key& key, std::string_view value) {
   if (value.size() <= kMaxInlineValue) {
-    // Small values never touch the log: Insert runs the hygiene pass (dead-
-    // marking any previous log record for this key) and stores the tagged
-    // inline word, so the inline path works even with the value tier off.
+    // Small values never touch the log: Insert stores the tagged inline word
+    // and retires any log record it replaced (dead-marked, cache entry
+    // dropped), so the inline path works even with the value tier off.
     return Insert(key, EncodeInlineValue(value));
   }
   if (vstore_ == nullptr || value.size() > vstore_->max_value_bytes()) {
@@ -55,10 +55,6 @@ Status PacTree::InsertValue(const Key& key, std::string_view value) {
   Status is = Insert(key, handle);
   if (is != Status::kOk && is != Status::kExists) {
     vstore_->MarkDead(handle);  // index refused the handle: record is garbage
-    return is;
-  }
-  if (vcache_ != nullptr) {
-    vcache_->Invalidate(key);  // hygiene ran before the new handle published
   }
   return is;
 }
@@ -230,7 +226,8 @@ bool PacTree::CasValueHandle(const Key& key, uint64_t old_handle,
     }
     // The compare above held under the token the upgrade consumed, so the
     // swing is the slot's value-word persist: it allocates nothing and
-    // cannot fail on a full pool.
+    // cannot fail on a full pool. GC keeps the moved record's live count
+    // itself, so the old handle is not marked dead here.
     OverwriteAndUnlock(node, existing, new_handle);
     return true;
   }
@@ -240,17 +237,15 @@ bool PacTree::CasValueHandle(const Key& key, uint64_t old_handle,
 // Hygiene + recovery
 // -----------------------------------------------------------------------------
 
-void PacTree::PreWriteValueHygiene(const Key& key) {
+void PacTree::RetireReplacedValue(const Key& key, uint64_t old) {
   if (vstore_ == nullptr) {
     return;
   }
-  uint64_t h = 0;
-  if (Lookup(key, &h) == Status::kOk && !ValueHandleIsInline(h)) {
-    // Racy by design: a concurrent writer may dead-mark the same record, or
-    // this op may fail after the mark. Live counts are advisory (GC victim
-    // selection only); correctness rides on GC's per-record
-    // CurrentValueHandle check, so skew is at worst an early compaction.
-    vstore_->MarkDead(h);
+  if (!ValueHandleIsInline(old)) {
+    // Exact: |old| was read under the node's write lock that replaced it, so
+    // each log record leaves the index once and is marked dead once, by that
+    // writer.
+    vstore_->MarkDead(old);
   }
   if (vcache_ != nullptr) {
     vcache_->Invalidate(key);

@@ -18,19 +18,27 @@
 // before the block is freed for reuse.
 //
 // Sharding: hash(key) picks a shard; each shard is an independent
-// mutex-protected LRU list + hash map with its own byte budget, so reader
+// mutex-protected exact LRU with its own payload byte budget, so reader
 // threads on different shards never contend.
+//
+// Layout: a shard keeps its entries in one contiguous array of 64-B records
+// (the key's 32-B image inline, the handle, the value pointer and length,
+// 32-bit LRU prev/next links and a 32-bit hash-chain link), a power-of-two
+// array of 32-bit bucket heads, and a free list threaded through evicted
+// entry slots. Each value is one exact-size allocation, so an entry costs
+// 64 B + 4-8 B of buckets beside its payload, and a probe is one bucket load
+// plus one entry line per chain step.
 #ifndef PACTREE_SRC_VALUE_LRU_CACHE_H_
 #define PACTREE_SRC_VALUE_LRU_CACHE_H_
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <list>
+#include <cstring>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/key.h"
@@ -43,6 +51,8 @@ struct ValueCacheStats {
   uint64_t evictions = 0;   // entries dropped for space or by Invalidate
   uint64_t bytes = 0;       // resident payload bytes (all shards)
   uint64_t entries = 0;
+  // DRAM the cache holds: payload plus every shard's entry and bucket arrays.
+  uint64_t resident_bytes = 0;
 };
 
 class ValueLruCache {
@@ -66,70 +76,78 @@ class ValueLruCache {
       st_misses_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
-    Shard& sh = table_[ShardOf(key)];
+    const uint64_t h = Mix(key);
+    Shard& sh = table_[h % shards_];
     std::lock_guard<std::mutex> lock(sh.mu);
-    auto it = sh.map.find(key);
-    if (it == sh.map.end()) {
+    const uint32_t i = sh.Find(key, h);
+    if (i == kNil) {
       st_misses_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
-    if (it->second->handle != handle) {
-      EraseLocked(sh, it);  // superseded by an overwrite/remove/GC move
+    Entry& e = sh.entries[i];
+    if (e.handle != handle) {
+      EraseLocked(sh, i);  // superseded by an overwrite/remove/GC move
       st_misses_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
-    sh.lru.splice(sh.lru.begin(), sh.lru, it->second);  // promote to MRU
-    *out = it->second->bytes;
+    sh.Unlink(i);
+    sh.PushFront(i);  // promote to MRU
+    out->assign(e.bytes.get(), e.len);
     st_hits_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
 
-  // Installs (or refreshes) the key's entry under |handle|. Values larger
-  // than a shard's whole budget are not cached.
+  // Installs (or refreshes) the key's entry under |handle|. A value larger
+  // than a shard's whole budget is not cached, and drops the key's older
+  // entry instead.
   void Put(const Key& key, uint64_t handle, std::string_view bytes) {
-    if (shard_capacity_ == 0 || bytes.size() > shard_capacity_) {
+    if (shard_capacity_ == 0) {
       return;
     }
-    Shard& sh = table_[ShardOf(key)];
+    const uint64_t h = Mix(key);
+    Shard& sh = table_[h % shards_];
     std::lock_guard<std::mutex> lock(sh.mu);
-    auto it = sh.map.find(key);
-    if (it != sh.map.end()) {
-      sh.bytes -= it->second->bytes.size();
-      it->second->handle = handle;
-      it->second->bytes.assign(bytes.data(), bytes.size());
-      sh.bytes += bytes.size();
-      sh.lru.splice(sh.lru.begin(), sh.lru, it->second);
-    } else {
-      sh.lru.push_front(Entry{key, handle, std::string(bytes)});
-      sh.map[key] = sh.lru.begin();
-      sh.bytes += bytes.size();
+    uint32_t i = sh.Find(key, h);
+    if (bytes.size() > shard_capacity_) {
+      if (i != kNil) {
+        EraseLocked(sh, i);
+      }
+      return;
     }
-    while (sh.bytes > shard_capacity_ && !sh.lru.empty()) {
-      auto victim = std::prev(sh.lru.end());
-      sh.bytes -= victim->bytes.size();
-      sh.map.erase(victim->key);
-      sh.lru.erase(victim);
-      st_evictions_.fetch_add(1, std::memory_order_relaxed);
+    if (i != kNil) {
+      sh.Unlink(i);
+      sh.bytes -= sh.entries[i].len;
+    } else {
+      i = sh.Insert(key, h);
+    }
+    Entry& e = sh.entries[i];
+    if (e.bytes == nullptr || e.len != bytes.size()) {
+      e.bytes = std::make_unique_for_overwrite<char[]>(bytes.size());
+    }
+    std::memcpy(e.bytes.get(), bytes.data(), bytes.size());
+    e.len = static_cast<uint32_t>(bytes.size());
+    e.handle = handle;
+    sh.bytes += bytes.size();
+    sh.PushFront(i);
+    while (sh.bytes > shard_capacity_ && sh.lru_tail != kNil) {
+      EraseLocked(sh, sh.lru_tail);
     }
   }
 
   // Drops every entry whose handle lies in [lo, hi). Called from a retired
   // value-log segment's epoch callback (see the header comment); correctness
   // against recycled-block ABA DOES depend on this one, unlike Invalidate.
+  // A linear scan of each shard's entry array.
   void EvictHandleRange(uint64_t lo, uint64_t hi) {
     if (shard_capacity_ == 0) {
       return;
     }
     for (Shard& sh : table_) {
       std::lock_guard<std::mutex> lock(sh.mu);
-      for (auto it = sh.lru.begin(); it != sh.lru.end();) {
-        if (it->handle >= lo && it->handle < hi) {
-          sh.bytes -= it->bytes.size();
-          sh.map.erase(it->key);
-          it = sh.lru.erase(it);
-          st_evictions_.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          ++it;
+      for (uint32_t i = 0; i < sh.entries.size(); ++i) {
+        const Entry& e = sh.entries[i];
+        if (e.bytes != nullptr && e.handle >= lo && e.handle < hi) {
+          EraseLocked(sh, i);
         }
       }
     }
@@ -141,11 +159,11 @@ class ValueLruCache {
     if (shard_capacity_ == 0) {
       return;
     }
-    Shard& sh = table_[ShardOf(key)];
+    const uint64_t h = Mix(key);
+    Shard& sh = table_[h % shards_];
     std::lock_guard<std::mutex> lock(sh.mu);
-    auto it = sh.map.find(key);
-    if (it != sh.map.end()) {
-      EraseLocked(sh, it);
+    if (uint32_t i = sh.Find(key, h); i != kNil) {
+      EraseLocked(sh, i);
     }
   }
 
@@ -157,41 +175,150 @@ class ValueLruCache {
     for (const auto& sh : table_) {
       std::lock_guard<std::mutex> lock(sh.mu);
       s.bytes += sh.bytes;
-      s.entries += sh.map.size();
+      s.entries += sh.live;
+      s.resident_bytes += sh.bytes + sh.entries.capacity() * sizeof(Entry) +
+                          sh.buckets.capacity() * sizeof(uint32_t);
     }
     return s;
+  }
+
+  // Visits every resident entry, one shard at a time under its lock (tests
+  // and audits; |fn| must not call back into the cache).
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (const auto& sh : table_) {
+      std::lock_guard<std::mutex> lock(sh.mu);
+      for (const Entry& e : sh.entries) {
+        if (e.bytes != nullptr) {
+          fn(Key::FromBytes(e.key, Key::kMaxLen), e.handle,
+             std::string_view(e.bytes.get(), e.len));
+        }
+      }
+    }
   }
 
   size_t capacity_bytes() const { return shard_capacity_ * shards_; }
 
  private:
+  static constexpr uint32_t kNil = UINT32_MAX;
+
+  // A free slot has no bytes and is linked through |next| on the free list.
   struct Entry {
-    Key key;
+    uint8_t key[Key::kMaxLen];  // the key's zero-padded image (Key::operator==)
     uint64_t handle;
-    std::string bytes;
+    std::unique_ptr<char[]> bytes;
+    uint32_t len;
+    uint32_t prev;   // toward MRU
+    uint32_t next;   // toward LRU; free-list link when free
+    uint32_t chain;  // next entry in the same hash bucket
   };
-  using LruList = std::list<Entry>;
-  using LruMap = std::unordered_map<Key, LruList::iterator>;
+  static_assert(sizeof(Entry) == 64, "one cache line per entry");
+
   struct Shard {
     mutable std::mutex mu;
-    LruList lru;  // front = MRU
-    LruMap map;
+    std::vector<Entry> entries;
+    std::vector<uint32_t> buckets;  // power-of-two count; heads of chains
+    uint32_t lru_head = kNil;       // MRU
+    uint32_t lru_tail = kNil;       // LRU
+    uint32_t free_head = kNil;
+    uint32_t live = 0;
     size_t bytes = 0;
+
+    uint32_t& BucketHead(uint64_t h) {
+      return buckets[static_cast<uint32_t>(h >> 32) & (buckets.size() - 1)];
+    }
+
+    uint32_t Find(const Key& key, uint64_t h) {
+      if (buckets.empty()) {
+        return kNil;
+      }
+      uint32_t i = BucketHead(h);
+      while (i != kNil && std::memcmp(entries[i].key, key.data(), Key::kMaxLen) != 0) {
+        i = entries[i].chain;
+      }
+      return i;
+    }
+
+    // Takes a free slot (or appends one) for |key|, chained into its bucket
+    // but not yet on the LRU list; the caller fills in the value.
+    uint32_t Insert(const Key& key, uint64_t h) {
+      uint32_t i = free_head;
+      if (i != kNil) {
+        free_head = entries[i].next;
+      } else {
+        i = static_cast<uint32_t>(entries.size());
+        entries.emplace_back();
+      }
+      ++live;
+      if (live > buckets.size()) {
+        Rehash(std::max<size_t>(16, buckets.size() * 2));
+      }
+      Entry& e = entries[i];
+      std::memcpy(e.key, key.data(), Key::kMaxLen);
+      uint32_t& head = BucketHead(h);
+      e.chain = head;
+      head = i;
+      return i;
+    }
+
+    // Unchains live entry |i| from its bucket and returns its slot to the
+    // free list. It must already be off the LRU list.
+    void Release(uint32_t i) {
+      Entry& e = entries[i];
+      uint32_t* link = &BucketHead(Mix(Key::FromBytes(e.key, Key::kMaxLen)));
+      while (*link != i) {
+        link = &entries[*link].chain;
+      }
+      *link = e.chain;
+      bytes -= e.len;
+      e.bytes.reset();
+      e.len = 0;
+      e.next = free_head;
+      free_head = i;
+      --live;
+    }
+
+    void Rehash(size_t n) {
+      buckets.assign(n, kNil);
+      for (uint32_t i = 0; i < entries.size(); ++i) {
+        Entry& e = entries[i];
+        if (e.bytes != nullptr) {
+          uint32_t& head = BucketHead(Mix(Key::FromBytes(e.key, Key::kMaxLen)));
+          e.chain = head;
+          head = i;
+        }
+      }
+    }
+
+    void Unlink(uint32_t i) {
+      Entry& e = entries[i];
+      (e.prev == kNil ? lru_head : entries[e.prev].next) = e.next;
+      (e.next == kNil ? lru_tail : entries[e.next].prev) = e.prev;
+    }
+
+    void PushFront(uint32_t i) {
+      Entry& e = entries[i];
+      e.prev = kNil;
+      e.next = lru_head;
+      (lru_head == kNil ? lru_tail : entries[lru_head].prev) = i;
+      lru_head = i;
+    }
   };
 
-  void EraseLocked(Shard& sh, LruMap::iterator it) {
-    sh.bytes -= it->second->bytes.size();
-    sh.lru.erase(it->second);
-    sh.map.erase(it);
+  void EraseLocked(Shard& sh, uint32_t i) {
+    sh.Unlink(i);
+    sh.Release(i);
     st_evictions_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  uint32_t ShardOf(const Key& key) const {
+  // The key's hash with its high bytes folded down: the low bits pick the
+  // shard, the high 32 the bucket.
+  static uint64_t Mix(const Key& key) {
     uint64_t h = key.Hash();
     h ^= h >> 33;
     h *= 0xff51afd7ed558ccdULL;  // fold high bytes down
     h ^= h >> 33;
-    return static_cast<uint32_t>(h % shards_);
+    return h;
   }
 
   const size_t shard_capacity_;

@@ -7,10 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <iterator>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
+#include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/random.h"
@@ -348,6 +354,291 @@ TEST(ValueLruCacheTest, ZeroCapacityDisables) {
   EXPECT_EQ(cache.Stats().entries, 0u);
 }
 
+TEST(ValueLruCacheTest, OversizePutDropsOlderEntry) {
+  ValueLruCache cache(4096, 1);
+  Key k = Key::FromInt(5);
+  cache.Put(k, 10, "old");
+  cache.Put(k, 11, std::string(4097, 'x'));  // larger than the shard budget
+  std::string out;
+  EXPECT_FALSE(cache.Get(k, 10, &out));
+  EXPECT_EQ(cache.Stats().entries, 0u);
+  EXPECT_EQ(cache.Stats().bytes, 0u);
+}
+
+// Reference LRU for the model test: the std::list + unordered_map layout
+// with the cache's shard function, per-shard budget and eviction order.
+class ListLruModel {
+ public:
+  ListLruModel(size_t capacity_bytes, uint32_t shards)
+      : shard_capacity_(capacity_bytes / shards), shards_(shards), table_(shards) {}
+
+  bool Get(const Key& key, uint64_t handle, std::string* out) {
+    Shard& sh = ShardOf(key);
+    auto it = sh.map.find(key);
+    if (it == sh.map.end()) {
+      ++misses;
+      return false;
+    }
+    if (it->second->handle != handle) {
+      Erase(sh, it->second);
+      ++misses;
+      return false;
+    }
+    sh.lru.splice(sh.lru.begin(), sh.lru, it->second);
+    *out = it->second->bytes;
+    ++hits;
+    return true;
+  }
+
+  void Put(const Key& key, uint64_t handle, std::string_view bytes) {
+    Shard& sh = ShardOf(key);
+    auto it = sh.map.find(key);
+    if (bytes.size() > shard_capacity_) {
+      if (it != sh.map.end()) {
+        Erase(sh, it->second);
+      }
+      return;
+    }
+    if (it != sh.map.end()) {
+      sh.bytes -= it->second->bytes.size();
+      sh.lru.erase(it->second);
+    } else {
+      ++created;
+    }
+    sh.lru.push_front(Entry{key, handle, std::string(bytes)});
+    sh.map[key] = sh.lru.begin();
+    sh.bytes += bytes.size();
+    while (sh.bytes > shard_capacity_) {
+      Erase(sh, std::prev(sh.lru.end()));
+      ++space_evictions;
+    }
+  }
+
+  void Invalidate(const Key& key) {
+    Shard& sh = ShardOf(key);
+    if (auto it = sh.map.find(key); it != sh.map.end()) {
+      Erase(sh, it->second);
+    }
+  }
+
+  void EvictHandleRange(uint64_t lo, uint64_t hi) {
+    for (Shard& sh : table_) {
+      for (auto it = sh.lru.begin(); it != sh.lru.end();) {
+        auto cur = it++;
+        if (cur->handle >= lo && cur->handle < hi) {
+          Erase(sh, cur);
+        }
+      }
+    }
+  }
+
+  uint64_t bytes() const {
+    uint64_t b = 0;
+    for (const Shard& sh : table_) {
+      b += sh.bytes;
+    }
+    return b;
+  }
+  uint64_t entries() const {
+    uint64_t n = 0;
+    for (const Shard& sh : table_) {
+      n += sh.map.size();
+    }
+    return n;
+  }
+
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t evictions = 0;
+  uint64_t created = 0;  // entries made for a key not resident
+  uint64_t space_evictions = 0;  // LRU-tail drops for the byte budget
+
+ private:
+  struct Entry {
+    Key key;
+    uint64_t handle;
+    std::string bytes;
+  };
+  struct Shard {
+    std::list<Entry> lru;  // front = MRU
+    std::unordered_map<Key, std::list<Entry>::iterator> map;
+    size_t bytes = 0;
+  };
+
+  void Erase(Shard& sh, std::list<Entry>::iterator it) {
+    sh.bytes -= it->bytes.size();
+    sh.map.erase(it->key);
+    sh.lru.erase(it);
+    ++evictions;
+  }
+
+  // Must pick the same shard as ValueLruCache.
+  Shard& ShardOf(const Key& key) {
+    uint64_t h = key.Hash();
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+    return table_[h % shards_];
+  }
+
+  const size_t shard_capacity_;
+  const uint32_t shards_;
+  std::vector<Shard> table_;
+};
+
+// Drives the cache and the reference with one fixed-seed op stream: every
+// Get result and every counter must match after every op.
+void RunLruModel(uint32_t shards) {
+  constexpr size_t kCapacity = 32 << 10;
+  constexpr uint64_t kKeys = 300;
+  ValueLruCache cache(kCapacity, shards);
+  ListLruModel model(kCapacity, shards);
+  Rng rng(20260 + shards);
+  std::vector<Key> keys;
+  for (uint64_t i = 0; i < kKeys; ++i) {
+    // Mixed key lengths, some with interior zero bytes.
+    keys.push_back(i % 3 == 0 ? Key::FromInt(i * 977)
+                              : Key::FromString("user" + std::to_string(i * 7919) +
+                                                std::string(i % 11, 'k')));
+  }
+  std::vector<uint64_t> handle(kKeys, 0);  // the key's current handle
+  uint64_t next_handle = 8;
+  for (int op = 0; op < 60000; ++op) {
+    // A hot tenth of the keys gets half the ops.
+    const uint64_t k = rng.Uniform(rng.Uniform(2) == 0 ? kKeys / 10 : kKeys);
+    const uint64_t r = rng.Uniform(100);
+    std::string got;
+    std::string want;
+    if (r < 45) {
+      bool hit = cache.Get(keys[k], handle[k], &got);
+      ASSERT_EQ(hit, model.Get(keys[k], handle[k], &want)) << "op " << op;
+      if (hit) {
+        ASSERT_EQ(got, want) << "op " << op;
+      }
+    } else if (r < 53) {
+      // A stale (older) or never-issued handle.
+      uint64_t h = rng.Uniform(2) == 0 && handle[k] > 8 ? handle[k] - 8 : next_handle + 8;
+      bool hit = cache.Get(keys[k], h, &got);
+      ASSERT_EQ(hit, model.Get(keys[k], h, &want)) << "op " << op;
+      ASSERT_FALSE(hit && got != want) << "op " << op;
+    } else if (r < 91) {
+      // A fresh handle (the index moved on) or a refill of the current one;
+      // either way the size is redrawn, so a live entry changes size.
+      if (rng.Uniform(4) != 0) {
+        handle[k] = next_handle;
+        next_handle += 8;
+      }
+      std::string v = MakeValue(handle[k], 1 + rng.Uniform(640));
+      cache.Put(keys[k], handle[k], v);
+      model.Put(keys[k], handle[k], v);
+    } else if (r < 93) {
+      std::string v = MakeValue(k, kCapacity / shards + 1 + rng.Uniform(64));
+      cache.Put(keys[k], handle[k], v);
+      model.Put(keys[k], handle[k], v);
+    } else if (r < 98) {
+      cache.Invalidate(keys[k]);
+      model.Invalidate(keys[k]);
+    } else {
+      // A window of up to 32 issued handles starting exactly at a live one
+      // (evicted); |hi| may be exactly another key's handle (kept).
+      const uint64_t lo = handle[k];
+      const uint64_t hi = lo + 8 * (1 + rng.Uniform(32));
+      cache.EvictHandleRange(lo, hi);
+      model.EvictHandleRange(lo, hi);
+    }
+    ValueCacheStats s = cache.Stats();
+    ASSERT_EQ(s.bytes, model.bytes()) << "op " << op;
+    ASSERT_EQ(s.entries, model.entries()) << "op " << op;
+    ASSERT_EQ(s.hits, model.hits) << "op " << op;
+    ASSERT_EQ(s.misses, model.misses) << "op " << op;
+    ASSERT_EQ(s.evictions, model.evictions) << "op " << op;
+  }
+  // Enough churn to recycle slots many times over, and recycled they were:
+  // the entry and bucket arrays stay within twice the key universe.
+  EXPECT_GT(model.created, 10 * kKeys);
+  EXPECT_GT(model.space_evictions, 1000u);  // the LRU order was exercised
+  ValueCacheStats s = cache.Stats();
+  EXPECT_GT(s.hits, 1000u);
+  EXPECT_LE(s.resident_bytes - s.bytes, 2 * kKeys * (64 + 4) + shards * 16 * 4);
+}
+
+TEST(ValueLruCacheTest, MatchesListLruModelOneShard) { RunLruModel(1); }
+
+TEST(ValueLruCacheTest, MatchesListLruModelEightShards) { RunLruModel(8); }
+
+TEST(ValueLruCacheTest, ConcurrentOpsWithRangeEviction) {
+  // Two threads Get/Put/Invalidate while a third evicts handle ranges. The
+  // retired range [kLo, kHi) follows the value log's protocol: writers stop
+  // putting its handles, the evictor waits for both to pass a quiescent
+  // point (the grace period), then evicts it while they keep running.
+  constexpr uint64_t kLo = 1 << 20;
+  constexpr uint64_t kHi = 2 << 20;
+  constexpr uint64_t kKeys = 512;
+  ValueLruCache cache(64 << 10, 8);
+  auto value_of = [](uint64_t h) { return MakeValue(h, 8 + h % 509); };
+  std::atomic<bool> retired{false};
+  std::atomic<bool> done{false};
+  std::atomic<int> quiesced{0};
+  std::atomic<uint64_t> bad_hits{0};
+  RunWorkerThreads(3, [&](uint32_t t) {
+    Rng rng(77 + t);
+    if (t == 2) {
+      for (int round = 0; round < 200; ++round) {
+        const uint64_t lo = (4 << 20) + rng.Uniform(1 << 16);
+        cache.EvictHandleRange(lo, lo + rng.Uniform(1 << 16));
+        if (round == 100) {
+          retired.store(true);
+          while (quiesced.load() < 2) {
+            std::this_thread::yield();
+          }
+          cache.EvictHandleRange(kLo, kHi);
+        }
+      }
+      done.store(true);
+      return;
+    }
+    bool seen = false;
+    std::string out;
+    for (uint64_t i = 0; i < 30000 || !done.load(); ++i) {
+      if (!seen && retired.load()) {
+        seen = true;
+        quiesced.fetch_add(1);
+      }
+      const Key k = Key::FromInt(rng.Uniform(kKeys));
+      const uint64_t h = (!seen && rng.Uniform(2) == 0 ? kLo : 4 << 20) +
+                         rng.Uniform(1 << 16);
+      switch (rng.Uniform(3)) {
+        case 0:
+          if (cache.Get(k, h, &out) && out != value_of(h)) {
+            bad_hits.fetch_add(1);
+          }
+          break;
+        case 1:
+          cache.Put(k, h, value_of(h));
+          break;
+        default:
+          cache.Invalidate(k);
+      }
+    }
+  });
+  EXPECT_EQ(bad_hits.load(), 0u);
+  uint64_t bytes = 0;
+  uint64_t entries = 0;
+  uint64_t in_range = 0;
+  cache.ForEach([&](const Key&, uint64_t h, std::string_view v) {
+    bytes += v.size();
+    ++entries;
+    in_range += h >= kLo && h < kHi;
+    EXPECT_EQ(v, value_of(h));
+  });
+  EXPECT_EQ(in_range, 0u);
+  ValueCacheStats s = cache.Stats();
+  EXPECT_EQ(s.bytes, bytes);
+  EXPECT_EQ(s.entries, entries);
+  EXPECT_LE(s.bytes, 64u << 10);
+  EXPECT_GT(entries, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // PacTree integration
 // ---------------------------------------------------------------------------
@@ -401,6 +692,11 @@ TEST_F(PacTreeValueTest, RoundTripInlineAndLog) {
   PacTreeStats s = tree_->Stats();
   EXPECT_TRUE(s.value_enabled);
   EXPECT_EQ(s.value.appends, 4u);  // only the four over-inline sizes
+  // The four log values are cached; resident DRAM counts their entry and
+  // bucket arrays on top of the payload.
+  EXPECT_EQ(s.value_cache.entries, 4u);
+  EXPECT_EQ(s.value_cache.bytes, 64u + 256 + 1024 + 4096);
+  EXPECT_GT(s.value_cache.resident_bytes, s.value_cache.bytes);
 }
 
 TEST_F(PacTreeValueTest, OverwriteAndRemoveInvalidate) {
@@ -424,6 +720,10 @@ TEST_F(PacTreeValueTest, OverwriteAndRemoveInvalidate) {
   EXPECT_EQ(out, MakeValue(3, 900));
   ASSERT_EQ(tree_->Remove(k), Status::kOk);
   EXPECT_EQ(tree_->LookupValue(k, &out), Status::kNotFound);
+  // Each replaced log record was marked dead once, and the remove evicted
+  // the key's cache entry.
+  EXPECT_EQ(tree_->Stats().value.live_bytes, 0u);
+  EXPECT_EQ(tree_->value_cache()->Stats().entries, 0u);
 }
 
 TEST_F(PacTreeValueTest, ScanAndMultiGetValues) {
