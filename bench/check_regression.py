@@ -65,10 +65,12 @@ def main():
             if m in BYTES_FIELDS:
                 ceiling = base[m] * (1.0 + threshold)
                 if cur[m] > ceiling:
+                    # A zero baseline (a row that reads no media, e.g. all
+                    # cache hits) has a zero ceiling: any byte fails it.
+                    rise = 100.0 * (cur[m] / base[m] - 1.0) if base[m] else float("inf")
                     failures.append(
                         "row %s: %s %.3f -> %.3f (+%.1f%%, ceiling %.3f)"
-                        % (dict(key), m, base[m], cur[m],
-                           100.0 * (cur[m] / base[m] - 1.0), ceiling))
+                        % (dict(key), m, base[m], cur[m], rise, ceiling))
                 continue
             floor = base[m] * (1.0 - threshold)
             if cur[m] < floor:

@@ -374,20 +374,27 @@ DataNode* PacTree::JumpWalk(DataNode* start, const Key& key, uint64_t* version) 
 Status PacTree::Lookup(const Key& key, uint64_t* value) const {
   stat_epoch_enters_.fetch_add(1, std::memory_order_relaxed);
   EpochGuard guard;
+  DataNode* node;
+  uint64_t version;
+  return LookupNode(key, value, &node, &version);
+}
+
+Status PacTree::LookupNode(const Key& key, uint64_t* value, DataNode** node,
+                           uint64_t* version) const {
   uint8_t fingerprint = key.Fingerprint();
   while (true) {
-    uint64_t version;
-    DataNode* node = FindDataNode(key, &version);
-    int slot = node->FindKey(key, fingerprint);
+    DataNode* n = FindDataNode(key, version);
+    int slot = n->FindKey(key, fingerprint);
     uint64_t v = 0;
     if (slot >= 0) {
-      AnnotateNvmRead(node->ValueSlot(slot), sizeof(uint64_t));
-      v = node->ValueAt(slot);
+      AnnotateNvmRead(n->ValueSlot(slot), sizeof(uint64_t));
+      v = n->ValueAt(slot);
     }
-    if (!node->lock.Validate(version)) {
+    if (!n->lock.Validate(*version)) {
       stat_retries_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
+    *node = n;
     if (slot < 0) {
       return Status::kNotFound;
     }
@@ -423,7 +430,7 @@ Status PacTree::Insert(const Key& key, uint64_t value) {
       continue;
     }
     if (int existing = node->FindKey(key, fingerprint); existing >= 0) {
-      RetireReplacedValue(key, OverwriteAndUnlock(node, existing, value));
+      RetireReplacedValue(OverwriteAndUnlock(node, existing, key, value));
       return Status::kExists;
     }
     if (node->FindFreeSlot() < 0 || !node->SuffixRoomFor(key)) {
@@ -451,12 +458,14 @@ Status PacTree::Insert(const Key& key, uint64_t value) {
 // A successful upgrade proves no writer locked the node since that token was
 // taken, so the probe read a stable node and the slot still holds the key:
 // no second probe. Remove relies on the same argument.
-uint64_t PacTree::OverwriteAndUnlock(DataNode* node, int slot, uint64_t value) {
+uint64_t PacTree::OverwriteAndUnlock(DataNode* node, int slot, const Key& key,
+                                     uint64_t value) {
   const uint64_t old = node->ValueAt(slot);
   node->StoreValuePersist(slot, value);
   if (!opts_.selective_persistence) {
     MaintainPermutation(node);
   }
+  EvictReplacedValue(key, old);
   node->lock.WriteUnlock();
   return old;
 }
@@ -483,7 +492,7 @@ Status PacTree::Update(const Key& key, uint64_t value) {
       stat_retries_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    RetireReplacedValue(key, OverwriteAndUnlock(node, existing, value));
+    RetireReplacedValue(OverwriteAndUnlock(node, existing, key, value));
     return Status::kOk;
   }
 }
@@ -512,12 +521,13 @@ Status PacTree::Remove(const Key& key) {
     // |slot| is still the key's: see OverwriteAndUnlock.
     const uint64_t old = node->ValueAt(slot);
     node->PublishBitmap(node->Bitmap() & ~(1ULL << slot));
+    EvictReplacedValue(key, old);
     if (!opts_.selective_persistence) {
       MaintainPermutation(node);
     }
     TryMergeLocked(node);
     node->lock.WriteUnlock();
-    RetireReplacedValue(key, old);
+    RetireReplacedValue(old);
     return Status::kOk;
   }
 }

@@ -195,10 +195,13 @@ class PacTree : private ValueGcSink {
   // to the value log (durable BEFORE its handle enters the index) and the
   // handle upserted like any u64 value.
   Status InsertValue(const Key& key, std::string_view value);
-  // Cache-first resolution: index lookup -> inline decode, or hot-value cache
-  // probe keyed by (key, current handle), or log dereference (epoch-guarded,
-  // checksum+key validated, re-resolved through the index when a concurrent
-  // GC relocation raced the fetch). Misses fill the cache.
+  // Cache-first resolution. The DRAM hot-value cache is coherent with the
+  // index (src/value/lru_cache.h), so it is probed by key alone before the
+  // index is touched: a hit reads no NVM. On a miss: index lookup -> inline
+  // decode, or log dereference (epoch-guarded, checksum+key validated,
+  // re-resolved through the index when a concurrent GC relocation raced the
+  // fetch), then a fill that installs only if the data node the handle came
+  // from still validates under the read token of that lookup.
   Status LookupValue(const Key& key, std::string* value) const;
   // Value-resolving Scan / MultiGet: handle fetch and resolution share one
   // epoch; entries whose key vanishes mid-resolution are dropped (Scan) or
@@ -276,6 +279,12 @@ class PacTree : private ValueGcSink {
   void RecoverSplit(SmoLogEntry* e);
   void RecoverMerge(SmoLogEntry* e);
 
+  // Lookup's body, for a caller that already holds an EpochGuard: also
+  // returns the data node that answered and its validated read token, which
+  // stay usable (for a later Validate) for as long as that guard is held.
+  Status LookupNode(const Key& key, uint64_t* value, DataNode** node,
+                    uint64_t* version) const;
+
   // Finds the data node owning |key|: search-layer floor + sibling fix-up.
   // Returns the node with a validated read token.
   DataNode* FindDataNode(const Key& key, uint64_t* version) const;
@@ -293,12 +302,16 @@ class PacTree : private ValueGcSink {
   bool CurrentValueHandle(const Key& key, uint64_t* handle) const override;
   bool CasValueHandle(const Key& key, uint64_t old_handle,
                       uint64_t new_handle) override;
-  // Write-path hygiene when the value tier is on, run after an overwrite or
-  // remove released the node lock: |old| is the value word the op replaced,
-  // read under that lock. A log handle leaves the live accounting (exactly
-  // once: only the replacing writer sees it), and the key's cache entry is
-  // evicted.
-  void RetireReplacedValue(const Key& key, uint64_t old);
+  // Write-path value hygiene, in two halves around the node's write lock.
+  // |old| is the value word an overwrite, remove or GC swing replaced, read
+  // under that lock. EvictReplacedValue runs BEFORE the unlock: when |old| is
+  // a log handle it drops the key's cache entry, which is what lets
+  // LookupValue serve cache hits without the index (rule 1 in lru_cache.h).
+  // RetireReplacedValue runs after the unlock (not for the GC swing, which
+  // keeps the moved record's live count itself): a log handle leaves the
+  // live accounting, exactly once, since only the replacing writer sees it.
+  void EvictReplacedValue(const Key& key, uint64_t old);
+  void RetireReplacedValue(uint64_t old);
   // Post-recovery live-count rebuild: every log handle the recovered data
   // layer references is live.
   void RebuildValueLiveCounts();
@@ -323,11 +336,12 @@ class PacTree : private ValueGcSink {
 
   void MaintainPermutation(DataNode* node);  // !selective_persistence mode
 
-  // Commits an overwrite of live |slot| of the write-locked |node| (value-
-  // word persist; permutation upkeep in !selective_persistence mode),
-  // releases the lock, and returns the word it replaced. |slot| comes from
-  // the caller's pre-upgrade FindKey.
-  uint64_t OverwriteAndUnlock(DataNode* node, int slot, uint64_t value);
+  // Commits an overwrite of live |slot| (|key|'s) of the write-locked |node|
+  // (value-word persist; permutation upkeep in !selective_persistence mode;
+  // EvictReplacedValue), releases the lock, and returns the word it
+  // replaced. |slot| comes from the caller's pre-upgrade FindKey.
+  uint64_t OverwriteAndUnlock(DataNode* node, int slot, const Key& key,
+                              uint64_t value);
 
   PacTreeOptions opts_;
   std::unique_ptr<PmemHeap> search_heap_;

@@ -60,13 +60,22 @@ Status PacTree::InsertValue(const Key& key, std::string_view value) {
 }
 
 Status PacTree::LookupValue(const Key& key, std::string* value) const {
-  // One guard spans the handle fetch AND the log dereference: a record's
-  // segment is epoch-retired, so its bytes cannot be recycled while any
-  // reader that could have observed its handle is still inside the epoch.
+  // Probe first: the cache is coherent with the index (lru_cache.h), so a hit
+  // is the key's current value and needs neither the index nor an epoch.
+  if (vcache_ != nullptr && vcache_->Get(key, value)) {
+    return Status::kOk;
+  }
+  // One guard spans the handle fetch, the log dereference and the fill: a
+  // record's segment is epoch-retired, so its bytes cannot be recycled while
+  // any reader that could have observed its handle is still inside the
+  // epoch, and the data node the fill validates against cannot be freed.
   for (int attempt = 0; attempt < 64; ++attempt) {
+    stat_epoch_enters_.fetch_add(1, std::memory_order_relaxed);
     EpochGuard guard;
     uint64_t h = 0;
-    Status s = Lookup(key, &h);
+    DataNode* node = nullptr;
+    uint64_t version = 0;
+    Status s = LookupNode(key, &h, &node, &version);
     if (s != Status::kOk) {
       return s;
     }
@@ -77,13 +86,13 @@ Status PacTree::LookupValue(const Key& key, std::string* value) const {
     if (vstore_ == nullptr) {
       return Status::kCorrupted;  // log handle but no log: torn configuration
     }
-    if (vcache_ != nullptr && vcache_->Get(key, h, value)) {
-      return Status::kOk;  // hit is validated against the CURRENT handle
-    }
     s = vstore_->Read(h, key, value);
     if (s == Status::kOk) {
       if (vcache_ != nullptr) {
-        vcache_->Put(key, h, *value);
+        // Fill only if no writer locked the node since |h| was read there: a
+        // writer that replaced |h| evicts under that lock, so a fill that
+        // validates is evicted after it, never left stale.
+        vcache_->PutIf(key, h, *value, [&] { return node->lock.Validate(version); });
       }
       return s;
     }
@@ -110,12 +119,13 @@ size_t PacTree::ScanValues(const Key& start, size_t count,
     if (vstore_ == nullptr) {
       return Status::kCorrupted;
     }
+    // Handle-checked probe, and no fill: the snapshot has no node token to
+    // validate a fill against (lru_cache.h).
     if (vcache_ != nullptr && vcache_->Get(k, h, v)) {
       return Status::kOk;
     }
     Status s = vstore_->Read(h, k, v);
     if (s == Status::kOk) {
-      vcache_ != nullptr ? vcache_->Put(k, h, *v) : void();
       return s;
     }
     // Stale handle (scan snapshot raced an overwrite/GC): the per-key path
@@ -164,12 +174,10 @@ size_t PacTree::MultiGetValues(std::span<const Key> keys,
     } else if (vstore_ == nullptr) {
       s = Status::kCorrupted;
     } else if (vcache_ != nullptr && vcache_->Get(k, h, v)) {
-      s = Status::kOk;
+      s = Status::kOk;  // handle-checked, like ScanValues; no fill either
     } else {
       s = vstore_->Read(h, k, v);
-      if (s == Status::kOk && vcache_ != nullptr) {
-        vcache_->Put(k, h, *v);
-      } else if (s == Status::kRetry) {
+      if (s == Status::kRetry) {
         s = LookupValue(k, v);  // batch snapshot raced a relocation
       }
     }
@@ -226,9 +234,10 @@ bool PacTree::CasValueHandle(const Key& key, uint64_t old_handle,
     }
     // The compare above held under the token the upgrade consumed, so the
     // swing is the slot's value-word persist: it allocates nothing and
-    // cannot fail on a full pool. GC keeps the moved record's live count
+    // cannot fail on a full pool. It evicts the key's cache entry under the
+    // lock like any overwrite. GC keeps the moved record's live count
     // itself, so the old handle is not marked dead here.
-    OverwriteAndUnlock(node, existing, new_handle);
+    OverwriteAndUnlock(node, existing, key, new_handle);
     return true;
   }
 }
@@ -237,18 +246,20 @@ bool PacTree::CasValueHandle(const Key& key, uint64_t old_handle,
 // Hygiene + recovery
 // -----------------------------------------------------------------------------
 
-void PacTree::RetireReplacedValue(const Key& key, uint64_t old) {
-  if (vstore_ == nullptr) {
-    return;
+void PacTree::EvictReplacedValue(const Key& key, uint64_t old) {
+  // An inline word never has an entry: fills install log handles only, and
+  // the store that replaced that handle evicted the entry.
+  if (vcache_ != nullptr && !ValueHandleIsInline(old)) {
+    vcache_->Invalidate(key);
   }
-  if (!ValueHandleIsInline(old)) {
+}
+
+void PacTree::RetireReplacedValue(uint64_t old) {
+  if (vstore_ != nullptr && !ValueHandleIsInline(old)) {
     // Exact: |old| was read under the node's write lock that replaced it, so
     // each log record leaves the index once and is marked dead once, by that
     // writer.
     vstore_->MarkDead(old);
-  }
-  if (vcache_ != nullptr) {
-    vcache_->Invalidate(key);
   }
 }
 

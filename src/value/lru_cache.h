@@ -1,21 +1,32 @@
 // Sharded DRAM hot-value cache for the log-structured value tier.
 //
-// Caches the *dereference*, not the index lookup: an entry is (key -> handle,
-// bytes) and a Get hit requires the caller to present the handle the index
-// currently maps the key to. A stale entry -- left behind by a concurrent
-// overwrite, remove, or GC relocation racing the read-side fill -- therefore
-// can never be served: the current handle no longer matches and the probe
-// misses. That makes the classic invalidate-vs-refill race harmless, so
-// Invalidate() on the write paths is an eviction (reclaiming bytes early),
-// not a correctness requirement.
+// The cache is coherent with the key index: a resident entry (key -> handle,
+// bytes) always holds the value the index currently maps the key to, so a
+// point read may answer from it by key alone, without reading the index or
+// any NVM. Three rules keep it so (PacTree, value_ops.cc and pactree.cc):
 //
-// Handle comparison alone leaves one hole: a handle is a raw pmem address, so
-// once a GC-retired segment's block is reallocated, a NEW record for the same
-// key could land at the SAME raw+offset and a surviving stale entry would
-// revalidate (ABA). ValueStorage closes it by calling EvictHandleRange over a
-// retired segment's address range from the epoch-retire callback -- after the
-// grace period (no reader can still Put an old handle in the range) and
-// before the block is freed for reuse.
+//  1. Evict under the lock. Every store that replaces a key's log-handle
+//     value word (an overwriting Insert/Update/InsertValue, Remove, the GC's
+//     handle swing) calls Invalidate(key) while it still holds the data
+//     node's write lock.
+//  2. Fill only under a valid version. A reader that resolved a handle from
+//     a data node under read token T installs the bytes with PutIf, whose
+//     predicate re-validates T under the shard mutex. A writer locks the node
+//     before it evicts, and it evicts under that same mutex, so either the
+//     fill's validation sees the lock (nothing is installed) or the fill
+//     precedes the eviction (which then drops it). No writer can slip between
+//     the check and the insert.
+//  3. Probe first. Get(key) answers a point read before the index is touched.
+//
+// The snapshot resolvers (ScanValues, MultiGetValues) hold a handle fetched
+// earlier and must return that handle's bytes, so they use the
+// handle-checked Get(key, handle) and never fill: they have no node token to
+// validate against. A handle is a raw pmem address, so once a GC-retired
+// segment's block is reallocated a new record can land at the same address;
+// EvictHandleRange, called from the retired segment's epoch callback (after
+// the grace period, before the block is reused), drops every entry in the
+// old range. Under the rules above no entry should still point there; the
+// range eviction keeps handle-checked hits safe from that ABA on its own.
 //
 // Sharding: hash(key) picks a shard; each shard is an independent
 // mutex-protected exact LRU with its own payload byte budget, so reader
@@ -47,7 +58,7 @@ namespace pactree {
 
 struct ValueCacheStats {
   uint64_t hits = 0;
-  uint64_t misses = 0;      // probes that found nothing or a stale handle
+  uint64_t misses = 0;      // probes that found nothing or another handle
   uint64_t evictions = 0;   // entries dropped for space or by Invalidate
   uint64_t bytes = 0;       // resident payload bytes (all shards)
   uint64_t entries = 0;
@@ -59,7 +70,7 @@ class ValueLruCache {
  public:
   // |capacity_bytes| is the total payload budget across |shards| shards
   // (each shard gets an equal slice). A zero capacity disables the cache:
-  // every probe misses and Put is a no-op.
+  // every probe misses and PutIf installs nothing.
   ValueLruCache(size_t capacity_bytes, uint32_t shards)
       : shard_capacity_(capacity_bytes / std::max<uint32_t>(shards, 1)),
         shards_(std::max<uint32_t>(shards, 1)),
@@ -68,51 +79,42 @@ class ValueLruCache {
   ValueLruCache(const ValueLruCache&) = delete;
   ValueLruCache& operator=(const ValueLruCache&) = delete;
 
-  // Hit iff the key is cached under exactly |handle|; promotes to MRU and
-  // copies the bytes out. A handle mismatch (the index moved on) misses and
-  // drops the stale entry.
-  bool Get(const Key& key, uint64_t handle, std::string* out) {
-    if (shard_capacity_ == 0) {
-      st_misses_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    const uint64_t h = Mix(key);
-    Shard& sh = table_[h % shards_];
-    std::lock_guard<std::mutex> lock(sh.mu);
-    const uint32_t i = sh.Find(key, h);
-    if (i == kNil) {
-      st_misses_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    Entry& e = sh.entries[i];
-    if (e.handle != handle) {
-      EraseLocked(sh, i);  // superseded by an overwrite/remove/GC move
-      st_misses_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    sh.Unlink(i);
-    sh.PushFront(i);  // promote to MRU
-    out->assign(e.bytes.get(), e.len);
-    st_hits_.fetch_add(1, std::memory_order_relaxed);
-    return true;
+  // Key-only probe for point reads: hit iff the key is resident (the entry is
+  // current by the coherence rules above); promotes to MRU and copies the
+  // bytes out.
+  bool Get(const Key& key, std::string* out) {
+    return Probe(key, [](const Entry&) { return true; }, out);
   }
 
-  // Installs (or refreshes) the key's entry under |handle|. A value larger
-  // than a shard's whole budget is not cached, and drops the key's older
-  // entry instead.
-  void Put(const Key& key, uint64_t handle, std::string_view bytes) {
+  // Handle-checked probe for snapshot resolvers: hit iff the key is cached
+  // under exactly |handle|. A mismatch misses and keeps the entry, which is
+  // newer than the caller's snapshot.
+  bool Get(const Key& key, uint64_t handle, std::string* out) {
+    return Probe(key, [handle](const Entry& e) { return e.handle == handle; }, out);
+  }
+
+  // Installs (or refreshes) the key's entry under |handle| iff |pred()| holds;
+  // |pred| runs under the shard mutex, so an eviction by a writer that
+  // invalidated it cannot slip in between. Returns whether it installed. A
+  // value larger than a shard's whole budget is not cached, and drops the
+  // key's older entry instead.
+  template <typename Pred>
+  bool PutIf(const Key& key, uint64_t handle, std::string_view bytes, Pred&& pred) {
     if (shard_capacity_ == 0) {
-      return;
+      return false;
     }
     const uint64_t h = Mix(key);
     Shard& sh = table_[h % shards_];
     std::lock_guard<std::mutex> lock(sh.mu);
+    if (!pred()) {
+      return false;
+    }
     uint32_t i = sh.Find(key, h);
     if (bytes.size() > shard_capacity_) {
       if (i != kNil) {
         EraseLocked(sh, i);
       }
-      return;
+      return false;
     }
     if (i != kNil) {
       sh.Unlink(i);
@@ -132,12 +134,12 @@ class ValueLruCache {
     while (sh.bytes > shard_capacity_ && sh.lru_tail != kNil) {
       EraseLocked(sh, sh.lru_tail);
     }
+    return true;
   }
 
   // Drops every entry whose handle lies in [lo, hi). Called from a retired
-  // value-log segment's epoch callback (see the header comment); correctness
-  // against recycled-block ABA DOES depend on this one, unlike Invalidate.
-  // A linear scan of each shard's entry array.
+  // value-log segment's epoch callback (see the header comment). A linear
+  // scan of each shard's entry array.
   void EvictHandleRange(uint64_t lo, uint64_t hi) {
     if (shard_capacity_ == 0) {
       return;
@@ -153,8 +155,8 @@ class ValueLruCache {
     }
   }
 
-  // Early eviction on overwrite/remove (correctness does not depend on it;
-  // see the header comment).
+  // Drops the key's entry. Writers call it under the data node's write lock
+  // (rule 1 of the header comment); key-only hits depend on it.
   void Invalidate(const Key& key) {
     if (shard_capacity_ == 0) {
       return;
@@ -304,6 +306,28 @@ class ValueLruCache {
       lru_head = i;
     }
   };
+
+  template <typename Match>
+  bool Probe(const Key& key, Match&& match, std::string* out) {
+    if (shard_capacity_ == 0) {
+      st_misses_.fetch_add(1, std::memory_order_relaxed);
+      return false;
+    }
+    const uint64_t h = Mix(key);
+    Shard& sh = table_[h % shards_];
+    std::lock_guard<std::mutex> lock(sh.mu);
+    const uint32_t i = sh.Find(key, h);
+    if (i == kNil || !match(sh.entries[i])) {
+      st_misses_.fetch_add(1, std::memory_order_relaxed);
+      return false;
+    }
+    Entry& e = sh.entries[i];
+    sh.Unlink(i);
+    sh.PushFront(i);  // promote to MRU
+    out->assign(e.bytes.get(), e.len);
+    st_hits_.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  }
 
   void EraseLocked(Shard& sh, uint32_t i) {
     sh.Unlink(i);

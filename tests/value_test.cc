@@ -3,16 +3,20 @@
 // relocation against a map sink), the DRAM hot-value cache, and the
 // PacTree-integrated value API (scans, batched gets, overwrite/remove
 // invalidation, an std::map oracle property test with random inline GC,
-// concurrent readers vs GC for TSan, and reopen recovery).
+// concurrent readers vs GC for TSan, the cache's coherence with the index
+// under racing writers, and reopen recovery).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstring>
 #include <iterator>
 #include <list>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -41,6 +45,21 @@ std::string MakeValue(uint64_t seed, size_t len) {
     v[i] = static_cast<char>((seed * 131 + i * 7 + len) & 0xff);
   }
   return v;
+}
+
+// Value number |v| of key index |k|: the version in its first 8 bytes, so a
+// read names the write it returns; 64-563 B, so it always goes to the log.
+std::string VersionedValue(uint64_t k, uint64_t v) {
+  std::string out = MakeValue(k * 7919 + v, 64 + (k * 131 + v * 37) % 500);
+  std::memcpy(out.data(), &v, sizeof(v));
+  return out;
+}
+
+// Cache-only tests fill with a predicate that always holds (PacTree's fills
+// validate a data-node token instead).
+void Fill(ValueLruCache& cache, const Key& key, uint64_t handle,
+          std::string_view bytes) {
+  cache.PutIf(key, handle, bytes, [] { return true; });
 }
 
 // ---------------------------------------------------------------------------
@@ -296,32 +315,71 @@ TEST_F(ValueStorageTest, RecoverTailsAcrossReopen) {
 // DRAM hot-value cache
 // ---------------------------------------------------------------------------
 
-TEST(ValueLruCacheTest, HandleValidatedHitsAndEviction) {
+TEST(ValueLruCacheTest, KeyAndHandleProbesAndEviction) {
   ValueLruCache cache(4096, 1);
   Key k = Key::FromInt(7);
   std::string out;
+  EXPECT_FALSE(cache.Get(k, &out));
   EXPECT_FALSE(cache.Get(k, 111, &out));
-  cache.Put(k, 111, "hello");
+  Fill(cache, k, 111, "hello");
+  EXPECT_TRUE(cache.Get(k, &out));
+  EXPECT_EQ(out, "hello");
+  out.clear();
   EXPECT_TRUE(cache.Get(k, 111, &out));
   EXPECT_EQ(out, "hello");
-  // Stale handle: the index moved on -- the entry must never be served.
+  // Another handle (a snapshot older than the entry) misses, and the entry,
+  // which is newer, stays.
   EXPECT_FALSE(cache.Get(k, 222, &out));
-  EXPECT_FALSE(cache.Get(k, 111, &out));  // and the stale entry is gone
+  EXPECT_TRUE(cache.Get(k, 111, &out));
 
   // Byte budget: filling past capacity evicts LRU entries.
   for (int i = 0; i < 64; ++i) {
-    cache.Put(Key::FromInt(100 + i), 1000 + i, std::string(256, 'v'));
+    Fill(cache, Key::FromInt(100 + i), 1000 + i, std::string(256, 'v'));
   }
   ValueCacheStats s = cache.Stats();
   EXPECT_LE(s.bytes, 4096u);
   EXPECT_GT(s.evictions, 0u);
 
-  // Invalidate is an early eviction.
+  // Invalidate drops the entry for both probes.
   Key k2 = Key::FromInt(163);
-  if (cache.Get(k2, 1063, &out)) {
-    cache.Invalidate(k2);
-    EXPECT_FALSE(cache.Get(k2, 1063, &out));
-  }
+  ASSERT_TRUE(cache.Get(k2, &out));
+  cache.Invalidate(k2);
+  EXPECT_FALSE(cache.Get(k2, &out));
+  EXPECT_FALSE(cache.Get(k2, 1063, &out));
+}
+
+TEST(ValueLruCacheTest, PutIfWithFailingPredicateInstallsNothing) {
+  ValueLruCache cache(4096, 1);
+  const Key k = Key::FromInt(9);
+  const Key other = Key::FromInt(10);
+  Fill(cache, other, 50, "other");
+  const ValueCacheStats before = cache.Stats();
+  int calls = 0;
+  auto fail = [&] {
+    ++calls;
+    return false;
+  };
+  // Absent key: no entry appears.
+  EXPECT_FALSE(cache.PutIf(k, 70, "fresh", fail));
+  std::string out;
+  EXPECT_FALSE(cache.Get(k, &out));
+  // Resident key: neither its bytes nor its handle change, and nothing else
+  // is evicted.
+  Fill(cache, k, 60, "resident");
+  EXPECT_FALSE(cache.PutIf(k, 71, "replacement", fail));
+  EXPECT_FALSE(cache.PutIf(k, 72, std::string(4097, 'x'), fail));  // oversize
+  EXPECT_TRUE(cache.Get(k, 60, &out));
+  EXPECT_EQ(out, "resident");
+  EXPECT_TRUE(cache.Get(other, 50, &out));
+  EXPECT_EQ(calls, 3);
+  const ValueCacheStats after = cache.Stats();
+  EXPECT_EQ(after.entries, before.entries + 1);
+  EXPECT_EQ(after.bytes, before.bytes + 8);
+  EXPECT_EQ(after.evictions, before.evictions);
+  // A holding predicate installs.
+  EXPECT_TRUE(cache.PutIf(k, 73, "new", [] { return true; }));
+  EXPECT_TRUE(cache.Get(k, 73, &out));
+  EXPECT_EQ(out, "new");
 }
 
 TEST(ValueLruCacheTest, EvictHandleRange) {
@@ -329,8 +387,8 @@ TEST(ValueLruCacheTest, EvictHandleRange) {
   // segment's address range is dropped, entries outside survive.
   ValueLruCache cache(1 << 16, 4);
   for (int i = 0; i < 32; ++i) {
-    cache.Put(Key::FromInt(i), 10000 + i * 8, "in-range");
-    cache.Put(Key::FromInt(100 + i), 90000 + i * 8, "outside");
+    Fill(cache, Key::FromInt(i), 10000 + i * 8, "in-range");
+    Fill(cache, Key::FromInt(100 + i), 90000 + i * 8, "outside");
   }
   cache.EvictHandleRange(10000, 10000 + 32 * 8);
   std::string out;
@@ -339,8 +397,8 @@ TEST(ValueLruCacheTest, EvictHandleRange) {
     EXPECT_TRUE(cache.Get(Key::FromInt(100 + i), 90000 + i * 8, &out)) << i;
   }
   // Half-open range: a handle exactly at |hi| is not evicted.
-  cache.Put(Key::FromInt(200), 5000, "lo");
-  cache.Put(Key::FromInt(201), 6000, "hi");
+  Fill(cache, Key::FromInt(200), 5000, "lo");
+  Fill(cache, Key::FromInt(201), 6000, "hi");
   cache.EvictHandleRange(5000, 6000);
   EXPECT_FALSE(cache.Get(Key::FromInt(200), 5000, &out));
   EXPECT_TRUE(cache.Get(Key::FromInt(201), 6000, &out));
@@ -348,7 +406,7 @@ TEST(ValueLruCacheTest, EvictHandleRange) {
 
 TEST(ValueLruCacheTest, ZeroCapacityDisables) {
   ValueLruCache cache(0, 4);
-  cache.Put(Key::FromInt(1), 11, "x");
+  Fill(cache, Key::FromInt(1), 11, "x");
   std::string out;
   EXPECT_FALSE(cache.Get(Key::FromInt(1), 11, &out));
   EXPECT_EQ(cache.Stats().entries, 0u);
@@ -357,8 +415,8 @@ TEST(ValueLruCacheTest, ZeroCapacityDisables) {
 TEST(ValueLruCacheTest, OversizePutDropsOlderEntry) {
   ValueLruCache cache(4096, 1);
   Key k = Key::FromInt(5);
-  cache.Put(k, 10, "old");
-  cache.Put(k, 11, std::string(4097, 'x'));  // larger than the shard budget
+  Fill(cache, k, 10, "old");
+  Fill(cache, k, 11, std::string(4097, 'x'));  // larger than the shard budget
   std::string out;
   EXPECT_FALSE(cache.Get(k, 10, &out));
   EXPECT_EQ(cache.Stats().entries, 0u);
@@ -372,6 +430,8 @@ class ListLruModel {
   ListLruModel(size_t capacity_bytes, uint32_t shards)
       : shard_capacity_(capacity_bytes / shards), shards_(shards), table_(shards) {}
 
+  bool Get(const Key& key, std::string* out) { return Get(key, kAnyHandle, out); }
+
   bool Get(const Key& key, uint64_t handle, std::string* out) {
     Shard& sh = ShardOf(key);
     auto it = sh.map.find(key);
@@ -379,8 +439,7 @@ class ListLruModel {
       ++misses;
       return false;
     }
-    if (it->second->handle != handle) {
-      Erase(sh, it->second);
+    if (handle != kAnyHandle && it->second->handle != handle) {
       ++misses;
       return false;
     }
@@ -454,6 +513,8 @@ class ListLruModel {
   uint64_t space_evictions = 0;  // LRU-tail drops for the byte budget
 
  private:
+  static constexpr uint64_t kAnyHandle = UINT64_MAX;
+
   struct Entry {
     Key key;
     uint64_t handle;
@@ -509,9 +570,15 @@ void RunLruModel(uint32_t shards) {
     const uint64_t r = rng.Uniform(100);
     std::string got;
     std::string want;
-    if (r < 45) {
+    if (r < 25) {
       bool hit = cache.Get(keys[k], handle[k], &got);
       ASSERT_EQ(hit, model.Get(keys[k], handle[k], &want)) << "op " << op;
+      if (hit) {
+        ASSERT_EQ(got, want) << "op " << op;
+      }
+    } else if (r < 45) {
+      bool hit = cache.Get(keys[k], &got);
+      ASSERT_EQ(hit, model.Get(keys[k], &want)) << "op " << op;
       if (hit) {
         ASSERT_EQ(got, want) << "op " << op;
       }
@@ -529,11 +596,11 @@ void RunLruModel(uint32_t shards) {
         next_handle += 8;
       }
       std::string v = MakeValue(handle[k], 1 + rng.Uniform(640));
-      cache.Put(keys[k], handle[k], v);
+      Fill(cache, keys[k], handle[k], v);
       model.Put(keys[k], handle[k], v);
     } else if (r < 93) {
       std::string v = MakeValue(k, kCapacity / shards + 1 + rng.Uniform(64));
-      cache.Put(keys[k], handle[k], v);
+      Fill(cache, keys[k], handle[k], v);
       model.Put(keys[k], handle[k], v);
     } else if (r < 98) {
       cache.Invalidate(keys[k]);
@@ -614,7 +681,7 @@ TEST(ValueLruCacheTest, ConcurrentOpsWithRangeEviction) {
           }
           break;
         case 1:
-          cache.Put(k, h, value_of(h));
+          Fill(cache, k, h, value_of(h));
           break;
         default:
           cache.Invalidate(k);
@@ -873,6 +940,174 @@ TEST_F(PacTreeValueTest, ConcurrentReadersVsGc) {
   std::string why;
   tree_->DrainSmoLogs();
   EXPECT_TRUE(tree_->CheckInvariants(&why)) << why;
+}
+
+TEST_F(PacTreeValueTest, ReadsNeverOlderThanAckedWritesOrEarlierReads) {
+  // Two writers overwrite, remove and re-insert a small key set (each key has
+  // one writer, so its writes are numbered in order), two readers resolve it
+  // through LookupValue's cache-first path and MultiGetValues' index-first
+  // one, and a fifth thread runs GC. Write v of a key is published in
+  // acked[] after it returns, and every read publishes the write it returned
+  // in seen[]. A read must return a write no older than either as they were
+  // when it started: a cache hit may never serve a value the index has
+  // moved past.
+  constexpr uint64_t kSeed = 20261020;
+  constexpr uint64_t kKeys = 8;
+  constexpr uint64_t kWritesPerKey = 2000;
+  enum : uint8_t { kUnset = 0, kPut = 1, kRemove = 2 };
+  // kind[k * kStride + v]: what write v of key k is, stored before it starts.
+  constexpr uint64_t kStride = kWritesPerKey + 2;
+  std::vector<std::atomic<uint8_t>> kind(kKeys * kStride);
+  std::atomic<uint64_t> acked[kKeys];
+  std::atomic<uint64_t> seen[kKeys];  // newest put any finished read returned
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    ASSERT_EQ(tree_->InsertValue(Key::FromInt(k), VersionedValue(k, 0)), Status::kOk);
+    kind[k * kStride].store(kPut);
+    acked[k].store(0);
+    seen[k].store(0);
+  }
+  std::atomic<int> writers_left{2};
+  std::atomic<uint64_t> violations{0};
+  auto report = [&](uint64_t k, const std::string& what) {
+    if (violations.fetch_add(1) < 5) {
+      ADD_FAILURE() << "seed " << kSeed << ", key " << k << ": " << what;
+    }
+  };
+  RunWorkerThreads(5, [&](uint32_t t) {
+    Rng rng(kSeed + t);
+    if (t < 2) {  // writer t owns the keys k with k % 2 == t
+      std::vector<bool> present(kKeys, true);
+      for (uint64_t v = 1; v <= kWritesPerKey; ++v) {
+        for (uint64_t k = t; k < kKeys; k += 2) {
+          const Key key = Key::FromInt(k);
+          const bool remove = present[k] && rng.Uniform(8) == 0;
+          kind[k * kStride + v].store(remove ? kRemove : kPut);
+          const Status s =
+              remove ? tree_->Remove(key) : tree_->InsertValue(key, VersionedValue(k, v));
+          const Status want = remove || !present[k] ? Status::kOk : Status::kExists;
+          if (s != want) {
+            report(k, "write " + std::to_string(v) + " returned " + StatusString(s));
+          }
+          present[k] = !remove;
+          acked[k].store(v, std::memory_order_release);
+        }
+      }
+      writers_left.fetch_sub(1);
+    } else if (t < 4) {  // readers
+      std::string out;
+      while (writers_left.load() > 0) {
+        const uint64_t k = rng.Uniform(kKeys);
+        const Key key = Key::FromInt(k);
+        const uint64_t floor = std::max(acked[k].load(std::memory_order_acquire),
+                                        seen[k].load(std::memory_order_acquire));
+        Status s;
+        if (rng.Uniform(4) != 0) {
+          s = tree_->LookupValue(key, &out);
+        } else {
+          std::vector<std::string> values;
+          tree_->MultiGetValues(std::span<const Key>(&key, 1), &values, &s);
+          out = values[0];
+        }
+        // The newest write that may have taken effect by now: the in-flight one.
+        const uint64_t last = acked[k].load(std::memory_order_acquire) + 1;
+        if (s == Status::kNotFound) {
+          bool removed = false;
+          for (uint64_t v = floor; v <= last && !removed; ++v) {
+            removed = kind[k * kStride + v].load() == kRemove;
+          }
+          if (!removed) {
+            report(k, "not found, but no remove among writes " + std::to_string(floor) +
+                          ".." + std::to_string(last));
+          }
+          continue;
+        }
+        uint64_t r = UINT64_MAX;
+        if (s == Status::kOk && out.size() >= sizeof(r)) {
+          std::memcpy(&r, out.data(), sizeof(r));
+        }
+        if (s != Status::kOk || r < floor || r > last ||
+            kind[k * kStride + r].load() != kPut || out != VersionedValue(k, r)) {
+          report(k, std::string("read ") + StatusString(s) + " write " + std::to_string(r) +
+                        ", expected a put among writes " + std::to_string(floor) + ".." +
+                        std::to_string(last));
+          continue;
+        }
+        uint64_t prev = seen[k].load();
+        while (prev < r && !seen[k].compare_exchange_weak(prev, r)) {
+        }
+      }
+    } else {  // GC rounds relocate live records under the readers
+      while (writers_left.load() > 0) {
+        tree_->CompactValues();
+      }
+    }
+  });
+  EXPECT_EQ(violations.load(), 0u) << "seed " << kSeed;
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    std::string out;
+    const uint64_t v = acked[k].load();
+    if (kind[k * kStride + v].load() == kRemove) {
+      EXPECT_EQ(tree_->LookupValue(Key::FromInt(k), &out), Status::kNotFound) << k;
+    } else {
+      ASSERT_EQ(tree_->LookupValue(Key::FromInt(k), &out), Status::kOk) << k;
+      EXPECT_EQ(out, VersionedValue(k, v)) << k;
+    }
+  }
+}
+
+TEST_F(PacTreeValueTest, OverwriteEvictsBeforeTheIndexShowsIt) {
+  // A writer evicts the key's cache entry while it still holds the data
+  // node's lock. Here a fill whose predicate waits holds the key's cache
+  // shard, so the writer's eviction waits too; meanwhile an index reader must
+  // not see the new handle. Were the eviction after the unlock, it would, and
+  // a read could return the new value before a later cache hit the old one.
+  const Key k = Key::FromInt(3);
+  ASSERT_EQ(tree_->InsertValue(k, MakeValue(1, 300)), Status::kOk);
+  uint64_t old_handle = 0;
+  ASSERT_EQ(tree_->Lookup(k, &old_handle), Status::kOk);
+  std::string out;
+  ASSERT_EQ(tree_->LookupValue(k, &out), Status::kOk);  // now resident
+  std::atomic<bool> holding{false};
+  std::atomic<bool> released{false};
+  std::atomic<bool> saw_new{false};
+  bool saw_new_while_held = false;
+  RunWorkerThreads(3, [&](uint32_t t) {
+    if (t == 0) {
+      bool held = false;
+      EXPECT_FALSE(tree_->value_cache()->PutIf(k, old_handle, "unused", [&] {
+        held = true;
+        holding.store(true);
+        const auto until = std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+        while (!saw_new.load() && std::chrono::steady_clock::now() < until) {
+          std::this_thread::yield();
+        }
+        saw_new_while_held = saw_new.load();
+        return false;
+      }));
+      EXPECT_TRUE(held) << "PutIf did not evaluate its predicate";
+      holding.store(true);  // unblocks the other two either way
+      released.store(true);
+      return;
+    }
+    while (!holding.load()) {
+      std::this_thread::yield();
+    }
+    if (t == 1) {
+      EXPECT_EQ(tree_->InsertValue(k, MakeValue(2, 300)), Status::kExists);
+      return;
+    }
+    while (!released.load()) {
+      uint64_t h = 0;
+      ASSERT_EQ(tree_->Lookup(k, &h), Status::kOk);
+      if (h != old_handle) {
+        saw_new.store(true);
+        return;
+      }
+    }
+  });
+  EXPECT_FALSE(saw_new_while_held) << "the index showed the overwrite before its eviction";
+  ASSERT_EQ(tree_->LookupValue(k, &out), Status::kOk);
+  EXPECT_EQ(out, MakeValue(2, 300));
 }
 
 TEST_F(PacTreeValueTest, ReopenRecoversValues) {
