@@ -29,10 +29,6 @@ inline std::string& BenchJsonPath() {
   static std::string path;  // empty = no JSON output
   return path;
 }
-inline uint64_t& BenchReadBatch() {
-  static uint64_t batch = 1;  // 1 = per-key ops; >1 = MultiGet/MultiScan
-  return batch;
-}
 inline bool& BenchPinEnabled() {
   static bool pin = false;
   return pin;
@@ -54,19 +50,16 @@ inline constexpr bool BenchSimdFingerprints() {
 //                 rerun reproduces the same thread-to-CPU map.
 //   --updaters=N  run N PACTree background updater services (also settable
 //                 via PAC_UPDATERS; default is one per logical NUMA node).
-//   --batch=N     drive read-heavy YCSB phases through the batched read
-//                 pipeline: lookups buffer into MultiGet(N) and scans into
-//                 MultiScan(N) (also settable via PAC_BATCH).
 //   --json=PATH   append one machine-readable JSON document per binary run to
 //                 PATH (throughput, media bytes/op, latency percentiles, and
 //                 each index's StatsJson counters) for perf trajectories.
 //   --value-size=N|mix
 //                 drive the YCSB phases through the variable-length value API
 //                 (src/value): N-byte values (InsertValue / LookupValue /
-//                 MultiGetValues / ScanValues), or "mix" for 80% 64-byte /
-//                 20% 1-KiB. Also enables PACTree's tiered value storage
-//                 (PAC_VALUESTORE=1); indexes without large-value support are
-//                 skipped when N > 7. Also settable via PAC_VALUE_SIZE.
+//                 ScanValues), or "mix" for 80% 64-byte / 20% 1-KiB. Also
+//                 enables PACTree's tiered value storage (PAC_VALUESTORE=1);
+//                 indexes without large-value support are skipped when N > 7.
+//                 Also settable via PAC_VALUE_SIZE.
 // Any other "--" argument prints this list and exits with status 2.
 //
 // Fault-injection / pressure env knobs (env-only; see DESIGN.md §6g):
@@ -80,9 +73,8 @@ inline constexpr bool BenchSimdFingerprints() {
 //                         resume re-enables writes once usage falls back.
 inline void ParseBenchFlags(int argc, char** argv) {
   static constexpr const char* kKnownFlags =
-      "--pin --updaters=N --batch=N --json=PATH --value-size=N|mix";
+      "--pin --updaters=N --json=PATH --value-size=N|mix";
   bool pin = EnvU64("PAC_PIN", 0) != 0;
-  BenchReadBatch() = std::max<uint64_t>(1, EnvU64("PAC_BATCH", 1));
   for (int i = 1; i < argc; ++i) {
     std::string arg(argv[i]);
     if (arg == "--pin") {
@@ -91,8 +83,6 @@ inline void ParseBenchFlags(int argc, char** argv) {
       // Indexes read PAC_UPDATERS at Open; routing the flag through the env
       // var keeps one resolution path for flag, env, and library callers.
       setenv("PAC_UPDATERS", arg.substr(11).c_str(), 1);
-    } else if (arg.rfind("--batch=", 0) == 0) {
-      BenchReadBatch() = std::max<uint64_t>(1, std::strtoull(arg.substr(8).c_str(), nullptr, 10));
     } else if (arg.rfind("--value-size=", 0) == 0) {
       // Same env-var resolution path: the workload reads PAC_VALUE_SIZE (see
       // ApplyBenchValueSpec) and PacTree reads PAC_VALUESTORE at Open.
@@ -167,12 +157,10 @@ inline void Banner(const char* fig, const char* what) {
   std::printf("# scale: PAC_KEYS / PAC_OPS / PAC_THREADS environment variables\n");
   // A/B hygiene: numbers are meaningless without knowing whether the SIMD
   // fingerprint probe was compiled in and how the run was configured.
-  std::printf("# config: fingerprints=%s pin=%d updaters=%s batch=%llu "
-              "value_size=%s\n",
+  std::printf("# config: fingerprints=%s pin=%d updaters=%s value_size=%s\n",
               BenchSimdFingerprints() ? "avx2" : "scalar",
               BenchPinEnabled() ? 1 : 0,
               EnvStr("PAC_UPDATERS", "auto").c_str(),
-              static_cast<unsigned long long>(BenchReadBatch()),
               EnvStr("PAC_VALUE_SIZE", "off").c_str());
   std::printf("# faults: failpoints=%s pressure=%llu/%llu/%llu\n",
               EnvStr("PAC_FAILPOINTS", "none").c_str(),
@@ -238,7 +226,6 @@ inline void BenchJsonWrite(const char* bench) {
   config.Str("fingerprints", BenchSimdFingerprints() ? "avx2" : "scalar")
       .U64("pin", BenchPinEnabled() ? 1 : 0)
       .Str("updaters", EnvStr("PAC_UPDATERS", "auto"))
-      .U64("batch", BenchReadBatch())
       .Str("value_size", EnvStr("PAC_VALUE_SIZE", "off"));
   std::fprintf(f, "{\"bench\":\"%s\",\"config\":%s,\"rows\":[", bench,
                config.Render().c_str());
@@ -262,7 +249,6 @@ inline JsonRow YcsbJsonRow(const std::string& index_name, const YcsbSpec& spec,
       .U64("threads", spec.threads)
       .U64("keys", spec.record_count)
       .U64("ops", r.ops)
-      .U64("batch", spec.read_batch)
       .U64("zipfian", spec.zipfian ? 1 : 0)
       .F64("mops", r.mops)
       .F64("read_bytes_per_op", static_cast<double>(r.nvm.media_read_bytes) / ops)
@@ -324,20 +310,12 @@ inline double StatsJsonField(const std::string& json, const std::string& name) {
   return std::atof(json.c_str() + p + name.size() + 3);
 }
 
-// One-line read-pipeline banner for PACTree runs: how often a data node's
-// arena reclaimed in place, and what the MultiScan start-grouping saved per
-// batch. Counters are cumulative over the index instance's lifetime (i.e. all
-// workloads run against it so far).
+// One-line data-node banner for PACTree runs: how often a data node's arena
+// reclaimed in place. The counter is cumulative over the index instance's
+// lifetime (i.e. all workloads run against it so far).
 inline void PrintPacTreeNodeStats(const RangeIndex* index) {
-  std::string js = index->StatsJson();
-  double batches = StatsJsonField(js, "multiscan_batches");
-  double saved = StatsJsonField(js, "multiscan_walks_saved");
-  std::printf(
-      "# pactree: arena_compactions=%.0f multiscan_batches=%.0f "
-      "shared_nodes=%.0f walks_saved=%.0f (%.2f saved/batch)\n",
-      StatsJsonField(js, "arena_compactions"), batches,
-      StatsJsonField(js, "multiscan_shared_nodes"), saved,
-      batches > 0 ? saved / batches : 0.0);
+  std::printf("# pactree: arena_compactions=%.0f\n",
+              StatsJsonField(index->StatsJson(), "arena_compactions"));
 }
 
 inline void CleanupIndex(std::unique_ptr<RangeIndex> index, IndexKind kind) {

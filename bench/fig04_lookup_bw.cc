@@ -44,7 +44,6 @@ int main(int argc, char** argv) {
       spec.threads = threads;
       spec.string_keys = strings;
       spec.zipfian = false;  // the paper's Figure 4 uses uniform lookups
-      spec.read_batch = BenchReadBatch();
       auto index = MakeLoaded(kind, spec);
       if (index == nullptr) {
         return 1;

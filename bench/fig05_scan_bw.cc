@@ -28,7 +28,6 @@ int main(int argc, char** argv) {
       spec.string_keys = strings;
       spec.zipfian = false;
       spec.scan_max_len = 100;
-      spec.read_batch = BenchReadBatch();
       auto index = MakeLoaded(kind, spec);
       if (index == nullptr) {
         return 1;

@@ -52,9 +52,6 @@ int main(int argc, char** argv) {
 
       for (YcsbKind wl : {YcsbKind::kA, YcsbKind::kB, YcsbKind::kC, YcsbKind::kE}) {
         spec.kind = wl;
-        // --batch=N batches the read-heavy mixes (B/C/E) through
-        // MultiGet/MultiScan; A stays per-key (write-dominated).
-        spec.read_batch = wl == YcsbKind::kA ? 1 : BenchReadBatch();
         YcsbResult r = YcsbDriver::Run(index.get(), spec);
         YcsbDriver::PrintRow(index->Name(), spec, r);
         BenchJsonAdd(YcsbJsonRow(index->Name(), spec, r, index.get()));

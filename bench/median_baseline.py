@@ -11,9 +11,9 @@ value.
 
 Example (the read-path baseline):
   for i in 1 2 3 4 5 6 7 8 9; do
-    ./build/bench/abl_multiget --json=/tmp/mg_$i.json
+    ./build/bench/abl_readpath --json=/tmp/rp_$i.json
   done
-  ./bench/median_baseline.py /tmp/mg_*.json > BENCH_READPATH.json
+  ./bench/median_baseline.py /tmp/rp_*.json > BENCH_READPATH.json
 """
 import json
 import statistics

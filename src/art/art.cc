@@ -145,14 +145,6 @@ Key PdlArt::LoadLeaf(uint64_t raw, uint64_t* value) const {
   return leaf->key;
 }
 
-void PdlArt::PrefetchLeaf(uint64_t raw) const {
-  if (NodeLeaves()) {
-    AnnotateNvmPrefetch(NodeLeafKey(raw), sizeof(Key));
-  } else {
-    AnnotateNvmPrefetch(LeafOf(raw), sizeof(ArtLeaf));
-  }
-}
-
 ArtNode* PdlArt::GrowCopy(int slot, int which, const ArtNode* n) {
   ArtNodeType bigger;
   switch (n->type) {
@@ -841,44 +833,11 @@ bool PdlArt::MaxLeafBelow(const ArtNode* node, uint64_t version, int below, Key*
 
 Status PdlArt::LookupFloor(const Key& key, Key* found, uint64_t* value) const {
   EpochGuard guard;
-  return LookupFloorNoGuard(key, found, value);
-}
-
-Status PdlArt::LookupFloorNoGuard(const Key& key, Key* found, uint64_t* value) const {
   Status result = Status::kNotFound;
   while (!FloorAttempt(key, found, value, &result)) {
     restarts_.fetch_add(1, std::memory_order_relaxed);
   }
   return result;
-}
-
-void PdlArt::PrefetchFloorPath(const Key& key, int max_levels) const {
-  // Advisory only: no ReadLock, no Validate. Prefixes are immutable after
-  // construction and child slots are 8-byte valid-or-null words, so every
-  // pointer this walk chases is a node that is (or recently was) reachable;
-  // the epoch guard the caller holds keeps retired nodes mapped. A racing
-  // writer can at worst send the walk down a stale path, warming lines the
-  // validated walk will not touch.
-  ArtNode* node = RootNode();
-  uint32_t depth = 0;
-  for (int level = 0; level < max_levels && node != nullptr; ++level) {
-    AnnotateNvmPrefetch(node, 128);
-    uint32_t plen = node->prefix_len;
-    depth += plen;
-    if (plen > Key::kMaxLen || depth >= Key::kMaxLen) {
-      return;
-    }
-    uint64_t child = ArtFindChild(node, key.At(depth));
-    if (child == 0) {
-      return;
-    }
-    if (ArtIsLeaf(child)) {
-      PrefetchLeaf(child);
-      return;
-    }
-    node = NodeOf(child);
-    depth += 1;
-  }
 }
 
 bool PdlArt::FloorAttempt(const Key& key, Key* found, uint64_t* value,

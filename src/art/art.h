@@ -122,20 +122,6 @@ class PdlArt {
   // Greatest key <= |key|. Returns kNotFound when the tree has no key <= key.
   Status LookupFloor(const Key& key, Key* found, uint64_t* value) const;
 
-  // One floor-resolution step WITHOUT its own EpochGuard: the caller must
-  // hold one (nesting is fine). This is the unit the batched read pipeline
-  // composes -- PACTree's MultiGet takes ONE guard for a whole batch and
-  // resolves every miss key through this entry point.
-  Status LookupFloorNoGuard(const Key& key, Key* found, uint64_t* value) const;
-
-  // Best-effort, lock-free software prefetch of |key|'s root path: descends
-  // up to |max_levels| levels issuing __builtin_prefetch on each node it
-  // would visit, validating nothing. Reads may race with writers -- a stale
-  // child pointer prefetches a retired (epoch-protected, still mapped) node,
-  // which is harmless. Caller must hold an EpochGuard. Used by the batch
-  // pipeline to overlap key i+1's trie walk with key i's probe.
-  void PrefetchFloorPath(const Key& key, int max_levels = 8) const;
-
   // Collects up to |limit| pairs with key >= |start| in ascending order.
   size_t Scan(const Key& start, size_t limit,
               std::vector<std::pair<Key, uint64_t>>* out) const;
@@ -203,7 +189,6 @@ class PdlArt {
   // |raw|, annotating the media line it reads. Optimistic callers validate
   // the parent version afterwards.
   Key LoadLeaf(uint64_t raw, uint64_t* value) const;
-  void PrefetchLeaf(uint64_t raw) const;
   bool NodeLeaves() const { return leaf_key_offset_ >= 0; }
   const Key* NodeLeafKey(uint64_t raw) const {
     return reinterpret_cast<const Key*>(PPtr<char>(ArtUntag(raw)).get() + leaf_key_offset_);

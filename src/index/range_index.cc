@@ -39,15 +39,6 @@ class PacTreeIndex : public RangeIndex {
               std::vector<std::pair<Key, uint64_t>>* out) const override {
     return tree_->Scan(s, n, out);
   }
-  size_t MultiGet(std::span<const Key> keys, uint64_t* values,
-                  Status* statuses) const override {
-    return tree_->MultiGet(keys, values, statuses);
-  }
-  void MultiScan(std::span<const Key> starts, std::span<const size_t> counts,
-                 std::vector<std::vector<std::pair<Key, uint64_t>>>* out)
-      const override {
-    tree_->MultiScan(starts, counts, out);
-  }
   Status InsertValue(const Key& k, std::string_view v) override {
     return tree_->InsertValue(k, v);
   }
@@ -57,10 +48,6 @@ class PacTreeIndex : public RangeIndex {
   size_t ScanValues(const Key& s, size_t n,
                     std::vector<std::pair<Key, std::string>>* out) const override {
     return tree_->ScanValues(s, n, out);
-  }
-  size_t MultiGetValues(std::span<const Key> keys, std::vector<std::string>* values,
-                        Status* statuses) const override {
-    return tree_->MultiGetValues(keys, values, statuses);
   }
   size_t CompactValues() override { return tree_->CompactValues(); }
   bool SupportsLargeValues() const override {
@@ -86,13 +73,6 @@ class PacTreeIndex : public RangeIndex {
     field("retries", s.retries);
     field("epoch_enters", s.epoch_enters);
     field("node_locks", s.node_locks);
-    field("multiget_batches", s.multiget_batches);
-    field("multiget_keys", s.multiget_keys);
-    field("multiget_node_groups", s.multiget_node_groups);
-    field("multiget_group_retries", s.multiget_group_retries);
-    field("multiscan_batches", s.multiscan_batches);
-    field("multiscan_shared_nodes", s.multiscan_shared_nodes);
-    field("multiscan_walks_saved", s.multiscan_walks_saved);
     field("arena_compactions", s.arena_compactions);
     // Exhaustion / degraded-mode visibility.
     field("degraded", s.degraded ? 1 : 0);

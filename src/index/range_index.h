@@ -5,7 +5,6 @@
 #define PACTREE_SRC_INDEX_RANGE_INDEX_H_
 
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -31,46 +30,6 @@ class RangeIndex {
   virtual Status Remove(const Key& key) = 0;
   virtual size_t Scan(const Key& start, size_t count,
                       std::vector<std::pair<Key, uint64_t>>* out) const = 0;
-
-  // --- batched read pipeline ----------------------------------------------
-  // Point-looks-up every key of |keys| in one call. |values| and |statuses|
-  // (when non-null) must each have room for keys.size() elements; statuses[i]
-  // is kOk/kNotFound exactly as the per-key Lookup would report, values[i] is
-  // filled on kOk. Duplicate and out-of-order keys are allowed. Returns the
-  // number of keys found. The default loops over Lookup, so every index works
-  // through the batch harness unchanged; PACTree overrides it with a real
-  // pipeline (one epoch for the batch, node-grouped probing -- see
-  // src/pactree/multiget.cc).
-  virtual size_t MultiGet(std::span<const Key> keys, uint64_t* values,
-                          Status* statuses) const {
-    size_t found = 0;
-    for (size_t i = 0; i < keys.size(); ++i) {
-      uint64_t v = 0;
-      Status s = Lookup(keys[i], &v);
-      if (s == Status::kOk) {
-        ++found;
-        if (values != nullptr) {
-          values[i] = v;
-        }
-      }
-      if (statuses != nullptr) {
-        statuses[i] = s;
-      }
-    }
-    return found;
-  }
-
-  // Runs starts.size() range scans; out->at(i) receives up to counts[i] pairs
-  // with key >= starts[i], exactly as the per-start Scan would. The default
-  // loops over Scan; PACTree amortizes the epoch entry and processes starts
-  // in ascending key order.
-  virtual void MultiScan(std::span<const Key> starts, std::span<const size_t> counts,
-                         std::vector<std::vector<std::pair<Key, uint64_t>>>* out) const {
-    out->resize(starts.size());
-    for (size_t i = 0; i < starts.size(); ++i) {
-      Scan(starts[i], counts[i], &(*out)[i]);
-    }
-  }
 
   // --- variable-length values (src/value/) ---------------------------------
   // Key index over byte strings. The defaults pack values of <= 7 bytes into
@@ -112,22 +71,6 @@ class RangeIndex {
     }
     return out->size();
   }
-  virtual size_t MultiGetValues(std::span<const Key> keys,
-                                std::vector<std::string>* values,
-                                Status* statuses) const {
-    values->assign(keys.size(), std::string());
-    size_t found = 0;
-    for (size_t i = 0; i < keys.size(); ++i) {
-      Status s = LookupValue(keys[i], &(*values)[i]);
-      if (statuses != nullptr) {
-        statuses[i] = s;
-      }
-      if (s == Status::kOk) {
-        ++found;
-      }
-    }
-    return found;
-  }
   // One inline value-log GC round; 0 for indexes without a value tier.
   virtual size_t CompactValues() { return 0; }
   // Whether InsertValue accepts values larger than the 7-byte inline limit.
@@ -137,7 +80,7 @@ class RangeIndex {
   virtual std::string Name() const = 0;
   // Machine-readable per-index counters for the bench JSON emitter
   // (bench_common.h --json): one JSON object literal; "{}" when the index
-  // exports nothing. PACTree reports hop/retry/batch-pipeline counters here.
+  // exports nothing. PACTree reports hop/retry/SMO counters here.
   virtual std::string StatsJson() const { return "{}"; }
   virtual bool SupportsStringKeys() const { return true; }
   // Flushes background work (PACTree's SMO logs) before measurement phases.

@@ -183,11 +183,10 @@ struct DataNode {
   int SortedEntries(uint64_t version, std::pair<Key, uint64_t>* out);
 
   // Software-prefetches everything a FindKey probe reads before the slot
-  // compare (kProbeSpanBytes: the node's first XPLine). The batched read
-  // pipeline issues this one node ahead of the probe so the modeled media
-  // fetch overlaps useful work (see AnnotateNvmPrefetch). The slot line stays
-  // a demand miss: which slot to read is known only after the fingerprint
-  // match.
+  // compare (kProbeSpanBytes: the node's first XPLine). Scan issues this one
+  // node ahead of its visit so the modeled media fetch overlaps useful work
+  // (see AnnotateNvmPrefetch). The slot line stays a demand miss: which slot
+  // to read is known only after the fingerprint match.
   void PrefetchProbe() const { AnnotateNvmPrefetch(this, kProbeSpanBytes); }
 
   DataNode* Next() const { return PPtr<DataNode>(NextRaw()).get(); }

@@ -313,18 +313,14 @@ bool PacTree::SmoLogsDrained() const { return updater_->Drained(); }
 // ---------------------------------------------------------------------------
 
 DataNode* PacTree::FindDataNode(const Key& key, uint64_t* version) const {
+  // Start at the trie floor (possibly stale), or the data-layer head when
+  // the trie has no key <= |key|, and walk siblings to the owner.
   Key found;
   uint64_t raw = 0;
-  DataNode* node = nullptr;
-  Status fs = art_->LookupFloor(key, &found, &raw);
-  if (fs == Status::kOk && raw != 0) {
-    node = PPtr<DataNode>(raw).get();
+  if (art_->LookupFloor(key, &found, &raw) != Status::kOk || raw == 0) {
+    raw = root_->head_raw;
   }
-  return JumpWalk(node, key, version);
-}
-
-DataNode* PacTree::JumpWalk(DataNode* start, const Key& key, uint64_t* version) const {
-  DataNode* node = start != nullptr ? start : PPtr<DataNode>(root_->head_raw).get();
+  DataNode* node = PPtr<DataNode>(raw).get();
   uint32_t hops = 0;
   while (true) {
     uint64_t v = node->lock.ReadLock();
@@ -964,15 +960,6 @@ PacTreeStats PacTree::Stats() const {
   s.retries = stat_retries_.load(std::memory_order_relaxed);
   s.epoch_enters = stat_epoch_enters_.load(std::memory_order_relaxed);
   s.node_locks = stat_node_locks_.load(std::memory_order_relaxed);
-  s.multiget_batches = stat_multiget_batches_.load(std::memory_order_relaxed);
-  s.multiget_keys = stat_multiget_keys_.load(std::memory_order_relaxed);
-  s.multiget_node_groups = stat_multiget_node_groups_.load(std::memory_order_relaxed);
-  s.multiget_group_retries = stat_multiget_group_retries_.load(std::memory_order_relaxed);
-  s.multiscan_batches = stat_multiscan_batches_.load(std::memory_order_relaxed);
-  s.multiscan_shared_nodes =
-      stat_multiscan_shared_nodes_.load(std::memory_order_relaxed);
-  s.multiscan_walks_saved =
-      stat_multiscan_walks_saved_.load(std::memory_order_relaxed);
   s.arena_compactions = stat_arena_compactions_.load(std::memory_order_relaxed);
   s.degraded = degraded_.load(std::memory_order_relaxed);
   s.write_rejects = stat_write_rejects_.load(std::memory_order_relaxed);

@@ -22,7 +22,6 @@
 
 #include <atomic>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -67,7 +66,7 @@ struct PacTreeOptions {
   // |pressure_soft| the pressure service kicks value GC (compaction is the
   // only way the value heap sheds bytes); past |pressure_hard| the tree
   // enters read-only degraded mode -- Insert/Update fail fast with
-  // kFull while lookups, scans, MultiGet, and Remove keep serving -- until
+  // kFull while lookups, scans, and Remove keep serving -- until
   // the used fraction falls back to |pressure_resume|. Env overrides:
   // PAC_PRESSURE_SOFT / PAC_PRESSURE_HARD / PAC_PRESSURE_RESUME (percent,
   // e.g. 95 for 0.95).
@@ -81,8 +80,8 @@ struct PacTreeOptions {
   // Also enabled by PAC_VALUESTORE=1 (the bench --value-size flag), and
   // forced on reopen of a tree that ever ran in value mode (the root records
   // it). Only the value-aware entry points (InsertValue/LookupValue/
-  // ScanValues/MultiGetValues) interpret handles; the plain u64 API keeps
-  // working but treats them as opaque words.
+  // ScanValues) interpret handles; the plain u64 API keeps working but
+  // treats them as opaque words.
   bool value_storage = false;
   size_t value_segment_size = 256 << 10;
   // DRAM hot-value cache budget; 0 disables the cache (every LookupValue
@@ -111,19 +110,9 @@ struct PacTreeStats {
   uint64_t hop_hist[kHopHistBuckets] = {};
   uint64_t jump_hops[4] = {0, 0, 0, 0};
   uint64_t retries = 0;
-  // Read-path amortization counters (what the batched pipeline saves).
+  // Read-path counters.
   uint64_t epoch_enters = 0;  // EpochGuard constructions on read paths
   uint64_t node_locks = 0;    // data-node ReadLock acquisitions
-  uint64_t multiget_batches = 0;
-  uint64_t multiget_keys = 0;
-  uint64_t multiget_node_groups = 0;   // groups probed under one validation
-  uint64_t multiget_group_retries = 0; // group validation failures
-  uint64_t multiscan_batches = 0;
-  // MultiScan start-grouping: nodes whose one read-lock + validate served >= 2
-  // overlapping ranges, and the sibling-walk node visits that sharing saved
-  // (sum over shared nodes of consumers - 1).
-  uint64_t multiscan_shared_nodes = 0;
-  uint64_t multiscan_walks_saved = 0;
   // Suffix-arena compactions (in-place dead-suffix reclaims that made room
   // without a split).
   uint64_t arena_compactions = 0;
@@ -173,21 +162,6 @@ class PacTree : private ValueGcSink {
   size_t Scan(const Key& start, size_t count,
               std::vector<std::pair<Key, uint64_t>>* out) const;
 
-  // Batched point lookups (multiget.cc): ONE EpochGuard for the batch,
-  // software-pipelined ART floor resolution with path/node prefetch, and
-  // node-grouped probing that read-locks and version-validates each data
-  // node once per contiguous key group. Results
-  // are exactly what per-key Lookup would return; duplicate and out-of-order
-  // keys are fine. Contract matches RangeIndex::MultiGet.
-  size_t MultiGet(std::span<const Key> keys, uint64_t* values,
-                  Status* statuses) const;
-
-  // Batched range scans: processes starts in ascending key order under one
-  // outer epoch (per-scan guards nest cheaply), so adjacent ranges reuse
-  // warmed node lines. Contract matches RangeIndex::MultiScan.
-  void MultiScan(std::span<const Key> starts, std::span<const size_t> counts,
-                 std::vector<std::vector<std::pair<Key, uint64_t>>>* out) const;
-
   // --- tiered value storage (value_ops.cc; see src/value/) -----------------
   // Variable-length value API. With value_storage off these degrade to the
   // inline-only behavior every index supports (<= 7 B packed into the word;
@@ -203,13 +177,11 @@ class PacTree : private ValueGcSink {
   // fetch), then a fill that installs only if the data node the handle came
   // from still validates under the read token of that lookup.
   Status LookupValue(const Key& key, std::string* value) const;
-  // Value-resolving Scan / MultiGet: handle fetch and resolution share one
-  // epoch; entries whose key vanishes mid-resolution are dropped (Scan) or
-  // reported kNotFound (MultiGet), exactly as a per-key LookupValue would.
+  // Value-resolving Scan: handle fetch and resolution share one epoch;
+  // entries whose key vanishes mid-resolution are dropped, exactly as a
+  // per-key LookupValue would report kNotFound.
   size_t ScanValues(const Key& start, size_t count,
                     std::vector<std::pair<Key, std::string>>* out) const;
-  size_t MultiGetValues(std::span<const Key> keys, std::vector<std::string>* values,
-                        Status* statuses) const;
   // One inline value-GC round (tests/benches; the "<name>/value/gc-N"
   // services run this in async mode). Returns records relocated + segments
   // retired; 0 with value_storage off.
@@ -288,12 +260,6 @@ class PacTree : private ValueGcSink {
   // Finds the data node owning |key|: search-layer floor + sibling fix-up.
   // Returns the node with a validated read token.
   DataNode* FindDataNode(const Key& key, uint64_t* version) const;
-
-  // The sibling fix-up half of FindDataNode: walks from |start| (the trie
-  // floor, possibly stale; data-layer head when null) to the node owning
-  // |key|, returning it with a validated read token. MultiGet resolves trie
-  // floors for a whole batch first, then enters here per node group.
-  DataNode* JumpWalk(DataNode* start, const Key& key, uint64_t* version) const;
 
   // ValueGcSink (value_ops.cc): the current-handle read, and the atomic
   // handle swing GC relocation rides on -- an in-place overwrite of the key's
@@ -378,13 +344,6 @@ class PacTree : private ValueGcSink {
   mutable std::atomic<uint64_t> stat_retries_{0};
   mutable std::atomic<uint64_t> stat_epoch_enters_{0};
   mutable std::atomic<uint64_t> stat_node_locks_{0};
-  mutable std::atomic<uint64_t> stat_multiget_batches_{0};
-  mutable std::atomic<uint64_t> stat_multiget_keys_{0};
-  mutable std::atomic<uint64_t> stat_multiget_node_groups_{0};
-  mutable std::atomic<uint64_t> stat_multiget_group_retries_{0};
-  mutable std::atomic<uint64_t> stat_multiscan_batches_{0};
-  mutable std::atomic<uint64_t> stat_multiscan_shared_nodes_{0};
-  mutable std::atomic<uint64_t> stat_multiscan_walks_saved_{0};
   std::atomic<uint64_t> stat_arena_compactions_{0};
   mutable std::atomic<uint64_t> stat_write_rejects_{0};
   mutable std::atomic<uint64_t> stat_split_alloc_failures_{0};

@@ -144,51 +144,6 @@ size_t PacTree::ScanValues(const Key& start, size_t count,
   return out->size();
 }
 
-size_t PacTree::MultiGetValues(std::span<const Key> keys,
-                               std::vector<std::string>* values,
-                               Status* statuses) const {
-  values->assign(keys.size(), std::string());
-  // |statuses| is optional (contract shared with MultiGet and the RangeIndex
-  // default); the resolution loop below keys off per-key status, so a caller
-  // that passes none gets a scratch array.
-  std::vector<Status> scratch;
-  if (statuses == nullptr) {
-    scratch.assign(keys.size(), Status::kNotFound);
-    statuses = scratch.data();
-  }
-  EpochGuard guard;
-  std::vector<uint64_t> handles(keys.size(), 0);
-  MultiGet(keys, handles.data(), statuses);
-  size_t found = 0;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (statuses[i] != Status::kOk) {
-      continue;
-    }
-    std::string* v = &(*values)[i];
-    const Key& k = keys[i];
-    uint64_t h = handles[i];
-    Status s;
-    if (ValueHandleIsInline(h)) {
-      DecodeInlineValue(h, v);
-      s = Status::kOk;
-    } else if (vstore_ == nullptr) {
-      s = Status::kCorrupted;
-    } else if (vcache_ != nullptr && vcache_->Get(k, h, v)) {
-      s = Status::kOk;  // handle-checked, like ScanValues; no fill either
-    } else {
-      s = vstore_->Read(h, k, v);
-      if (s == Status::kRetry) {
-        s = LookupValue(k, v);  // batch snapshot raced a relocation
-      }
-    }
-    statuses[i] = s;
-    if (s == Status::kOk) {
-      ++found;
-    }
-  }
-  return found;
-}
-
 size_t PacTree::CompactValues() {
   return vstore_ == nullptr ? 0 : vstore_->GcPass();
 }

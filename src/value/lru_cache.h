@@ -18,10 +18,9 @@
 //     the check and the insert.
 //  3. Probe first. Get(key) answers a point read before the index is touched.
 //
-// The snapshot resolvers (ScanValues, MultiGetValues) hold a handle fetched
-// earlier and must return that handle's bytes, so they use the
-// handle-checked Get(key, handle) and never fill: they have no node token to
-// validate against. A handle is a raw pmem address, so once a GC-retired
+// The snapshot resolver ScanValues holds a handle fetched earlier and must
+// return that handle's bytes, so it uses the handle-checked Get(key, handle)
+// and never fills: it has no node token to validate against. A handle is a raw pmem address, so once a GC-retired
 // segment's block is reallocated a new record can land at the same address;
 // EvictHandleRange, called from the retired segment's epoch callback (after
 // the grace period, before the block is reused), drops every entry in the

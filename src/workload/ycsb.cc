@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <span>
 #include <vector>
 
 #include "src/common/clock.h"
@@ -149,69 +148,7 @@ YcsbResult YcsbDriver::Run(RangeIndex* index, const YcsbSpec& spec) {
         // the value-aware entry points; scans materialize bytes.
         const bool vmode = spec.value_size > 0;
         std::string vbuf;
-        std::vector<std::string> mget_strs;
         std::vector<std::pair<Key, std::string>> vscan_buf;
-        // Batched read pipeline (spec.read_batch > 1): lookups and scans
-        // buffer here and flush through MultiGet/MultiScan. Write ops flush
-        // the buffers first so a thread still observes its own writes in
-        // program order.
-        const uint64_t rb = spec.read_batch > 1 ? spec.read_batch : 1;
-        std::vector<Key> mget_keys;
-        std::vector<uint64_t> mget_vals;
-        std::vector<Key> mscan_starts;
-        std::vector<size_t> mscan_lens;
-        std::vector<std::vector<std::pair<Key, uint64_t>>> mscan_out;
-        if (rb > 1) {
-          mget_keys.reserve(rb);
-          mget_vals.resize(rb);
-          mscan_starts.reserve(rb);
-          mscan_lens.reserve(rb);
-        }
-        auto flush_reads = [&] {
-          if (mget_keys.empty()) {
-            return;
-          }
-          bool sample = spec.sample_rate >= 1.0 || rng.NextDouble() < spec.sample_rate;
-          uint64_t s0 = sample ? NowNs() : 0;
-          if (vmode) {
-            index->MultiGetValues(
-                std::span<const Key>(mget_keys.data(), mget_keys.size()),
-                &mget_strs, nullptr);
-          } else {
-            index->MultiGet(std::span<const Key>(mget_keys.data(), mget_keys.size()),
-                            mget_vals.data(), nullptr);
-          }
-          if (sample) {
-            lats[t].Record((NowNs() - s0) / mget_keys.size());
-          }
-          mget_keys.clear();
-        };
-        auto flush_scans = [&] {
-          if (mscan_starts.empty()) {
-            return;
-          }
-          bool sample = spec.sample_rate >= 1.0 || rng.NextDouble() < spec.sample_rate;
-          uint64_t s0 = sample ? NowNs() : 0;
-          if (vmode) {
-            // No MultiScan-over-values entry point: the buffered scans drain
-            // per-start, still inside one flush for comparable sampling.
-            for (size_t j = 0; j < mscan_starts.size(); ++j) {
-              index->ScanValues(mscan_starts[j], mscan_lens[j], &vscan_buf);
-            }
-          } else {
-            index->MultiScan(
-                std::span<const Key>(mscan_starts.data(), mscan_starts.size()),
-                std::span<const size_t>(mscan_lens.data(), mscan_lens.size()),
-                &mscan_out);
-          }
-          if (sample) {
-            uint64_t per_op = (NowNs() - s0) / mscan_starts.size();
-            lats[t].Record(per_op);
-            scan_lats[t].Record(per_op);
-          }
-          mscan_starts.clear();
-          mscan_lens.clear();
-        };
         while (!start.load(std::memory_order_acquire)) {
           CpuRelax();
         }
@@ -219,45 +156,6 @@ YcsbResult YcsbDriver::Run(RangeIndex* index, const YcsbSpec& spec) {
         for (uint64_t i = 0; i < ops; ++i) {
           uint64_t pick = spec.zipfian ? zipf.Next(rng) : rng.Uniform(spec.record_count);
           int dice = static_cast<int>(rng.Uniform(100));
-          if (rb > 1) {
-            if (dice < mix.read_pct) {
-              mget_keys.push_back(keys.At(pick));
-              if (mget_keys.size() >= rb) {
-                flush_reads();
-              }
-            } else if (dice < mix.read_pct + mix.update_pct + mix.insert_pct) {
-              flush_reads();
-              flush_scans();
-              bool sample = spec.sample_rate >= 1.0 || rng.NextDouble() < spec.sample_rate;
-              uint64_t s0 = sample ? NowNs() : 0;
-              if (dice < mix.read_pct + mix.update_pct) {
-                if (vmode) {
-                  FillValue(spec, pick + i, &vbuf);
-                  index->InsertValue(keys.At(pick), vbuf);
-                } else {
-                  index->Update(keys.At(pick), i + 1);
-                }
-              } else {
-                uint64_t fresh = insert_cursor.fetch_add(1, std::memory_order_relaxed);
-                if (vmode) {
-                  FillValue(spec, fresh, &vbuf);
-                  index->InsertValue(keys.At(fresh), vbuf);
-                } else {
-                  index->Insert(keys.At(fresh), fresh);
-                }
-              }
-              if (sample) {
-                lats[t].Record(NowNs() - s0);
-              }
-            } else {
-              mscan_starts.push_back(keys.At(pick));
-              mscan_lens.push_back(1 + rng.Uniform(spec.scan_max_len));
-              if (mscan_starts.size() >= rb) {
-                flush_scans();
-              }
-            }
-            continue;
-          }
           bool sample = spec.sample_rate >= 1.0 || rng.NextDouble() < spec.sample_rate;
           uint64_t s0 = sample ? NowNs() : 0;
           bool is_scan = false;
@@ -299,10 +197,6 @@ YcsbResult YcsbDriver::Run(RangeIndex* index, const YcsbSpec& spec) {
               scan_lats[t].Record(dt);
             }
           }
-        }
-        if (rb > 1) {
-          flush_reads();
-          flush_scans();
         }
       },
       [&] {

@@ -36,21 +36,14 @@ struct YcsbSpec {
   uint64_t seed = 42;
   // Value path (bench --value-size): 0 = raw u64 values. >0: Load stores
   // deterministic value bytes of this size through InsertValue, reads resolve
-  // through LookupValue/MultiGetValues, updates re-InsertValue fresh bytes,
-  // and scans materialize values via ScanValues. Sizes <= 7 stay inline in
-  // the index word (every index supports them); larger sizes need an index
-  // whose SupportsLargeValues() is true.
+  // through LookupValue, updates re-InsertValue fresh bytes, and scans
+  // materialize values via ScanValues. Sizes <= 7 stay inline in the index
+  // word (every index supports them); larger sizes need an index whose
+  // SupportsLargeValues() is true.
   uint64_t value_size = 0;
   // 80% 64-byte / 20% 1-KiB mix instead of a fixed size (value_size then
   // holds the small size).
   bool value_size_mix = false;
-  // >1: each worker buffers lookups into MultiGet batches and scans into
-  // MultiScan batches of this size (bench --batch=N). Buffers flush when
-  // full, before any write op (preserving per-thread read-your-writes), and
-  // at the end of the run. Latency samples then cover a whole batch divided
-  // by its size (mean per-op latency), so percentiles flatten vs per-key
-  // sampling; throughput and media counters stay directly comparable.
-  uint64_t read_batch = 1;
 };
 
 struct YcsbResult {

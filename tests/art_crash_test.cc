@@ -77,6 +77,12 @@ class ArtCrashTest : public ::testing::Test {
     }
     live_before = heap->primary()->LiveBytes();
     auto image = ShadowHeap::Capture(mode, seed);
+    // Drop this crash point's shadow region before its pool is unmapped: the
+    // next point's Enable would otherwise append a second region while
+    // Capture kept answering from this stale one. Pool files on tmpfs tend to
+    // remap at the same address and hide that; on a disk-backed dir they
+    // do not.
+    ShadowHeap::Disable();
     ASSERT_FALSE(image.empty());
     art.reset();
     EpochManager::Instance().DrainAll();
@@ -153,6 +159,7 @@ class ArtCrashTest : public ::testing::Test {
     }
     uint64_t live_before = heap->primary()->LiveBytes();
     auto image = ShadowHeap::Capture(mode, seed);
+    ShadowHeap::Disable();  // see RunCrashPoint
     ASSERT_FALSE(image.empty());
     art.reset();
     EpochManager::Instance().DrainAll();

@@ -602,9 +602,9 @@ TEST_F(DataNodeTest, IntKeysLeaveTheArenaEmpty) {
 }
 
 // The media cost of a cold point hit on a node, read off the pool's
-// counters: the header line (what JumpWalk reads), the slot record's line
-// (key word and value) and, only for a suffix longer than the 7 bytes a key
-// word holds whole, one arena line -- nothing else.
+// counters: the header line (what FindDataNode's jump walk reads), the slot
+// record's line (key word and value) and, only for a suffix longer than the
+// 7 bytes a key word holds whole, one arena line -- nothing else.
 TEST_F(DataNodeTest, ColdCompactHitReadsHeaderSlotAndArenaLines) {
   const NvmThreadCounters& c = LocalNvmCounters(ToPPtr(node_).pool());
   // Fills a full node anchored at |anchor| with |keys| and checks that each

@@ -16,7 +16,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -793,7 +792,7 @@ TEST_F(PacTreeValueTest, OverwriteAndRemoveInvalidate) {
   EXPECT_EQ(tree_->value_cache()->Stats().entries, 0u);
 }
 
-TEST_F(PacTreeValueTest, ScanAndMultiGetValues) {
+TEST_F(PacTreeValueTest, ScanValues) {
   const int kKeys = 200;
   for (int i = 0; i < kKeys; ++i) {
     size_t len = (i % 3 == 0) ? 5 : 128 + i;  // inline/log mix
@@ -809,30 +808,6 @@ TEST_F(PacTreeValueTest, ScanAndMultiGetValues) {
     size_t len = (i % 3 == 0) ? 5 : 128 + i;
     EXPECT_EQ(scanned[j].second, MakeValue(i, len));
   }
-
-  std::vector<Key> keys;
-  for (int i = 0; i < kKeys; i += 7) {
-    keys.push_back(Key::FromInt(i));
-  }
-  keys.push_back(Key::FromInt(kKeys + 5));  // absent
-  std::vector<std::string> values;
-  std::vector<Status> statuses(keys.size());
-  size_t found =
-      tree_->MultiGetValues(keys, &values, statuses.data());
-  EXPECT_EQ(found, keys.size() - 1);
-  for (size_t j = 0; j + 1 < keys.size(); ++j) {
-    ASSERT_EQ(statuses[j], Status::kOk);
-    int i = static_cast<int>(7 * j);
-    size_t len = (i % 3 == 0) ? 5 : 128 + i;
-    EXPECT_EQ(values[j], MakeValue(i, len));
-  }
-  EXPECT_EQ(statuses.back(), Status::kNotFound);
-
-  // statuses is optional (shared contract with MultiGet): the nullptr form
-  // must resolve identically -- this is the batched value-mode YCSB path.
-  std::vector<std::string> values2;
-  EXPECT_EQ(tree_->MultiGetValues(keys, &values2, nullptr), keys.size() - 1);
-  EXPECT_EQ(values2, values);
 }
 
 TEST_F(PacTreeValueTest, OracleWithGcAndEvictions) {
@@ -945,10 +920,10 @@ TEST_F(PacTreeValueTest, ConcurrentReadersVsGc) {
 TEST_F(PacTreeValueTest, ReadsNeverOlderThanAckedWritesOrEarlierReads) {
   // Two writers overwrite, remove and re-insert a small key set (each key has
   // one writer, so its writes are numbered in order), two readers resolve it
-  // through LookupValue's cache-first path and MultiGetValues' index-first
-  // one, and a fifth thread runs GC. Write v of a key is published in
-  // acked[] after it returns, and every read publishes the write it returned
-  // in seen[]. A read must return a write no older than either as they were
+  // through LookupValue's cache-first path and ScanValues' index-first,
+  // handle-checked one (a length-1 scan from the key), and a fifth thread
+  // runs GC. Write v of a key is published in acked[] after it returns, and
+  // every read publishes the write it returned in seen[]. A read must return a write no older than either as they were
   // when it started: a cache hit may never serve a value the index has
   // moved past.
   constexpr uint64_t kSeed = 20261020;
@@ -995,6 +970,7 @@ TEST_F(PacTreeValueTest, ReadsNeverOlderThanAckedWritesOrEarlierReads) {
       writers_left.fetch_sub(1);
     } else if (t < 4) {  // readers
       std::string out;
+      std::vector<std::pair<Key, std::string>> scanned;
       while (writers_left.load() > 0) {
         const uint64_t k = rng.Uniform(kKeys);
         const Key key = Key::FromInt(k);
@@ -1004,9 +980,11 @@ TEST_F(PacTreeValueTest, ReadsNeverOlderThanAckedWritesOrEarlierReads) {
         if (rng.Uniform(4) != 0) {
           s = tree_->LookupValue(key, &out);
         } else {
-          std::vector<std::string> values;
-          tree_->MultiGetValues(std::span<const Key>(&key, 1), &values, &s);
-          out = values[0];
+          tree_->ScanValues(key, 1, &scanned);
+          s = !scanned.empty() && scanned[0].first == key ? Status::kOk : Status::kNotFound;
+          if (s == Status::kOk) {
+            out = scanned[0].second;
+          }
         }
         // The newest write that may have taken effect by now: the in-flight one.
         const uint64_t last = acked[k].load(std::memory_order_acquire) + 1;
